@@ -24,6 +24,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/kshape"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/peaks"
 	"repro/internal/probe"
@@ -388,6 +389,56 @@ func BenchmarkSBDFFTvsNaive(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dsp.CrossCorrelateNaive(x, y)
+		}
+	})
+}
+
+// BenchmarkPowerIteration is the shape-extraction eigen-solve at the
+// Fig. 5 size — a week of 15-minute bins, the Gram matrix of a handful
+// of members — the kernel BenchmarkFig5ClusterSweep spends most of its
+// time in.
+func BenchmarkPowerIteration(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	const m, members = 672, 5
+	x := mat.NewDense(members, m)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	gram := mat.Mul(mat.Transpose(x), x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := mat.PowerIteration(gram, nil, 200, 1e-10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaxNCC is one shape-based distance over week-long series:
+// cold (the slice-taking entry point transforms both operands per
+// call) against cached spectra (what a clustering sweep pays).
+func BenchmarkMaxNCC(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	x := make([]float64, 672)
+	y := make([]float64, 672)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		y[i] = rng.NormFloat64()
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dsp.MaxNCC(x, y)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		n := dsp.CorrLen(len(x), len(y))
+		sx, sy := dsp.NewSpectrum(x, n), dsp.NewSpectrum(y, n)
+		scratch := make([]complex128, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dsp.MaxNCCSpec(&sx, &sy, scratch)
 		}
 	})
 }

@@ -8,9 +8,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cvi"
 	"repro/internal/geo"
@@ -250,11 +252,19 @@ type SweepPoint struct {
 	Scores cvi.Scores
 }
 
-// ClusterSweep z-normalizes the national series and runs k-Shape for
-// every k in [kMin, kMax], scoring each clustering with all four
-// validity indices under the shape-based distance. The paper sweeps
-// k = 2..19 and finds no winner: quality degrades monotonically.
-func (a *Analyzer) ClusterSweep(dir services.Direction, kMin, kMax int, seed uint64) ([]SweepPoint, error) {
+// ClusterSweep z-normalizes the national series of every direction in
+// dirs and runs k-Shape for every k in [kMin, kMax], scoring each
+// clustering with all four validity indices under the shape-based
+// distance; out[d] is the sweep of dirs[d] in ascending k. The paper
+// sweeps k = 2..19 and finds no winner: quality degrades monotonically.
+//
+// The (direction, k) clusterings are independent and each is
+// deterministic in (series, k, seed), so they run on up to workers
+// goroutines (at least one), costliest — largest k — first, each
+// writing its own slot: the result is identical at any worker count.
+// ctx is checked between clusterings; a cancelled sweep returns
+// ctx.Err() once its workers have stopped.
+func (a *Analyzer) ClusterSweep(ctx context.Context, dirs []services.Direction, kMin, kMax int, seed uint64, workers int) ([][]SweepPoint, error) {
 	n := len(a.DS.Services())
 	if kMin < 2 {
 		return nil, fmt.Errorf("core: sweep kMin %d < 2", kMin)
@@ -262,15 +272,62 @@ func (a *Analyzer) ClusterSweep(dir services.Direction, kMin, kMax int, seed uin
 	if kMax >= n {
 		return nil, fmt.Errorf("core: sweep kMax %d >= %d services", kMax, n)
 	}
-	series := a.zNormalized(dir)
-	var out []SweepPoint
-	for k := kMin; k <= kMax; k++ {
-		res, err := kshape.Cluster(series, k, kshape.Options{Seed: seed, ZNormalize: false})
+	type direction struct {
+		series [][]float64
+		set    *kshape.SeriesSet
+		points [][]float64 // the set's SBD matrix, shared by every k
+	}
+	type task struct{ d, k int }
+	prepared := make([]direction, len(dirs))
+	out := make([][]SweepPoint, len(dirs))
+	var tasks []task
+	for d, dir := range dirs {
+		series := a.zNormalized(dir)
+		set, err := kshape.NewSeriesSet(series, false)
 		if err != nil {
-			return nil, fmt.Errorf("core: k-shape k=%d: %w", k, err)
+			return nil, fmt.Errorf("core: k-shape %s: %w", dir, err)
 		}
-		c := cvi.Clustering{Points: series, Assign: res.Assign, Centroids: res.Centroids, K: k}
-		out = append(out, SweepPoint{K: k, Scores: cvi.AllScores(c, kshape.SBDDist)})
+		prepared[d] = direction{series: series, set: set, points: set.DistanceMatrix()}
+		out[d] = make([]SweepPoint, max(0, kMax-kMin+1))
+	}
+	for k := kMax; k >= kMin; k-- {
+		for d := range dirs {
+			tasks = append(tasks, task{d, k})
+		}
+	}
+
+	errs := make([]error, len(tasks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(max(workers, 1), len(tasks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := new(kshape.Workspace)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(tasks) || ctx.Err() != nil {
+					return
+				}
+				t, p := tasks[i], &prepared[tasks[i].d]
+				res, err := p.set.Cluster(t.k, kshape.Options{Seed: seed}, ws)
+				if err != nil {
+					errs[i] = fmt.Errorf("core: k-shape k=%d: %w", t.k, err)
+					continue
+				}
+				c := cvi.Clustering{Points: p.series, Assign: res.Assign, Centroids: res.Centroids, K: t.k}
+				out[t.d][t.k-kMin] = SweepPoint{K: t.k, Scores: cvi.AllScores(c, p.set.Distances(p.points, res.Centroids))}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

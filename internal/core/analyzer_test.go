@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -203,10 +204,11 @@ func TestDetectOn(t *testing.T) {
 
 func TestClusterSweepShape(t *testing.T) {
 	a := core.New(dataset(t))
-	sweep, err := a.ClusterSweep(services.DL, 2, 19, 1)
+	sweeps, err := a.ClusterSweep(context.Background(), []services.Direction{services.DL}, 2, 19, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sweep := sweeps[0]
 	if len(sweep) != 18 {
 		t.Fatalf("sweep has %d points", len(sweep))
 	}
@@ -226,10 +228,10 @@ func TestClusterSweepShape(t *testing.T) {
 
 func TestClusterSweepValidation(t *testing.T) {
 	a := core.New(dataset(t))
-	if _, err := a.ClusterSweep(services.DL, 1, 5, 1); err == nil {
+	if _, err := a.ClusterSweep(context.Background(), []services.Direction{services.DL}, 1, 5, 1, 1); err == nil {
 		t.Error("kMin=1: want error")
 	}
-	if _, err := a.ClusterSweep(services.DL, 2, 30, 1); err == nil {
+	if _, err := a.ClusterSweep(context.Background(), []services.Direction{services.DL}, 2, 30, 1, 1); err == nil {
 		t.Error("kMax >= services: want error")
 	}
 }

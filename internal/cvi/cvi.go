@@ -4,8 +4,8 @@
 // Silhouette. The first two are minimized by good clusterings, the
 // last two maximized.
 //
-// All indices are parameterized by an arbitrary distance function so
-// they can score both k-Shape (shape-based distance) and the Euclidean
+// All indices are parameterized by the distances they read, so they
+// can score both k-Shape (shape-based distance) and the Euclidean
 // k-means baseline.
 package cvi
 
@@ -14,6 +14,23 @@ import (
 	"fmt"
 	"math"
 )
+
+// Distances answers an index's distance queries by position: points
+// are numbered as in Clustering.Points, centroids by cluster. Asking by
+// position rather than by vector lets a caller that scores many
+// clusterings of the same points compute the point-to-point distances
+// once (kshape.SeriesSet does, for a whole sweep over k) instead of
+// once per index per clustering. The distance need not be symmetric to
+// the last bit: Dunn asks Points(i, j) for i < j, Silhouette for every
+// i != j, and each gets exactly the ordered pair it asked for.
+type Distances interface {
+	// Points returns d(point i, point j).
+	Points(i, j int) float64
+	// ToCentroid returns d(point i, centroid c).
+	ToCentroid(i, c int) float64
+	// Centroids returns d(centroid a, centroid b).
+	Centroids(a, b int) float64
+}
 
 // DistFunc measures dissimilarity between two equal-length vectors.
 type DistFunc func(a, b []float64) float64
@@ -26,6 +43,23 @@ type Clustering struct {
 	Assign    []int
 	Centroids [][]float64 // may be nil for Dunn and Silhouette
 	K         int
+}
+
+// Under returns the distances of c's points and centroids measured by
+// d, evaluated on demand.
+func (c Clustering) Under(d DistFunc) Distances { return vectorDistances{c, d} }
+
+type vectorDistances struct {
+	c Clustering
+	d DistFunc
+}
+
+func (v vectorDistances) Points(i, j int) float64 { return v.d(v.c.Points[i], v.c.Points[j]) }
+func (v vectorDistances) ToCentroid(i, c int) float64 {
+	return v.d(v.c.Points[i], v.c.Centroids[c])
+}
+func (v vectorDistances) Centroids(a, b int) float64 {
+	return v.d(v.c.Centroids[a], v.c.Centroids[b])
 }
 
 // Validate checks structural consistency; indices call it internally.
@@ -61,11 +95,11 @@ func (c Clustering) Validate(needCentroids bool) error {
 
 // scatter returns S_i: the average distance from members of cluster i
 // to its centroid.
-func (c Clustering) scatter(d DistFunc) []float64 {
+func (c Clustering) scatter(d Distances) []float64 {
 	s := make([]float64, c.K)
 	n := make([]int, c.K)
 	for i, a := range c.Assign {
-		s[a] += d(c.Points[i], c.Centroids[a])
+		s[a] += d.ToCentroid(i, a)
 		n[a]++
 	}
 	for i := range s {
@@ -82,7 +116,7 @@ func (c Clustering) scatter(d DistFunc) []float64 {
 //
 // Lower is better. It returns an error for degenerate clusterings
 // (coincident centroids make the ratio unbounded).
-func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
+func DaviesBouldin(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(true); err != nil {
 		return 0, err
 	}
@@ -94,7 +128,7 @@ func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
 			if i == j {
 				continue
 			}
-			m := d(c.Centroids[i], c.Centroids[j])
+			m := d.Centroids(i, j)
 			if m == 0 {
 				return 0, errors.New("cvi: coincident centroids")
 			}
@@ -113,7 +147,7 @@ func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
 //	DB* = (1/K) Σ_i [max_{j≠i} (S_i + S_j)] / [min_{j≠i} d(c_i, c_j)]
 //
 // Lower is better; DB* >= DB always.
-func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
+func DaviesBouldinStar(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(true); err != nil {
 		return 0, err
 	}
@@ -129,7 +163,7 @@ func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
 			if n := s[i] + s[j]; n > maxNum {
 				maxNum = n
 			}
-			if m := d(c.Centroids[i], c.Centroids[j]); m < minDen {
+			if m := d.Centroids(i, j); m < minDen {
 				minDen = m
 			}
 		}
@@ -145,7 +179,7 @@ func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
 // (single linkage between members) divided by the maximum cluster
 // diameter (complete linkage within members). Higher is better.
 // Singleton-only diameters of zero across all clusters yield an error.
-func Dunn(c Clustering, d DistFunc) (float64, error) {
+func Dunn(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(false); err != nil {
 		return 0, err
 	}
@@ -154,7 +188,7 @@ func Dunn(c Clustering, d DistFunc) (float64, error) {
 	n := len(c.Points)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dist := d(c.Points[i], c.Points[j])
+			dist := d.Points(i, j)
 			if c.Assign[i] == c.Assign[j] {
 				if dist > maxDiam {
 					maxDiam = dist
@@ -175,7 +209,7 @@ func Dunn(c Clustering, d DistFunc) (float64, error) {
 // the point's own cluster and b_i the smallest mean distance to another
 // cluster. The value lies in [-1, 1]; higher is better. Points in
 // singleton clusters contribute 0, the standard convention.
-func Silhouette(c Clustering, d DistFunc) (float64, error) {
+func Silhouette(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(false); err != nil {
 		return 0, err
 	}
@@ -195,7 +229,7 @@ func Silhouette(c Clustering, d DistFunc) (float64, error) {
 			if i == j {
 				continue
 			}
-			sums[c.Assign[j]] += d(c.Points[i], c.Points[j])
+			sums[c.Assign[j]] += d.Points(i, j)
 		}
 		a := sums[own] / float64(counts[own]-1)
 		b := math.Inf(1)
@@ -228,7 +262,7 @@ type Scores struct {
 // AllScores computes every index; indices that fail on a degenerate
 // clustering are reported as NaN rather than aborting the sweep, since
 // the paper's point is precisely that some k values degenerate.
-func AllScores(c Clustering, d DistFunc) Scores {
+func AllScores(c Clustering, d Distances) Scores {
 	s := Scores{K: c.K}
 	if v, err := DaviesBouldin(c, d); err == nil {
 		s.DaviesBouldin = v

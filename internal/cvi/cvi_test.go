@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func euclid(a, b []float64) float64 {
+func euclidDist(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		d := a[i] - b[i]
@@ -15,6 +15,9 @@ func euclid(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// euclid measures c's points and centroids by Euclidean distance.
+func euclid(c Clustering) Distances { return c.Under(euclidDist) }
 
 // twoTightClusters builds a well-separated two-cluster configuration.
 func twoTightClusters() Clustering {
@@ -42,11 +45,11 @@ func badSplit() Clustering {
 }
 
 func TestDaviesBouldinPrefersGoodClustering(t *testing.T) {
-	good, err := DaviesBouldin(twoTightClusters(), euclid)
+	good, err := DaviesBouldin(twoTightClusters(), euclid(twoTightClusters()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := DaviesBouldin(badSplit(), euclid)
+	bad, err := DaviesBouldin(badSplit(), euclid(badSplit()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +68,8 @@ func TestDBStarUpperBoundsDB(t *testing.T) {
 		n := rng.IntN(20) + 6
 		k := rng.IntN(3) + 2
 		c := randomClustering(rng, n, k, 3)
-		db, err1 := DaviesBouldin(c, euclid)
-		dbs, err2 := DaviesBouldinStar(c, euclid)
+		db, err1 := DaviesBouldin(c, euclid(c))
+		dbs, err2 := DaviesBouldinStar(c, euclid(c))
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
@@ -107,11 +110,11 @@ func randomClustering(rng *rand.Rand, n, k, dim int) Clustering {
 }
 
 func TestDunnPrefersGoodClustering(t *testing.T) {
-	good, err := Dunn(twoTightClusters(), euclid)
+	good, err := Dunn(twoTightClusters(), euclid(twoTightClusters()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Dunn(badSplit(), euclid)
+	bad, err := Dunn(badSplit(), euclid(badSplit()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +127,11 @@ func TestDunnPrefersGoodClustering(t *testing.T) {
 }
 
 func TestSilhouettePrefersGoodClustering(t *testing.T) {
-	good, err := Silhouette(twoTightClusters(), euclid)
+	good, err := Silhouette(twoTightClusters(), euclid(twoTightClusters()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Silhouette(badSplit(), euclid)
+	bad, err := Silhouette(badSplit(), euclid(badSplit()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestSilhouetteBoundedProperty(t *testing.T) {
 		n := rng.IntN(25) + 4
 		k := rng.IntN(3) + 2
 		c := randomClustering(rng, n, k, 2)
-		s, err := Silhouette(c, euclid)
+		s, err := Silhouette(c, euclid(c))
 		if err != nil {
 			return true
 		}
@@ -163,7 +166,7 @@ func TestSilhouetteSingletonContributesZero(t *testing.T) {
 		Assign: []int{0, 0, 1},
 		K:      2,
 	}
-	s, err := Silhouette(c, euclid)
+	s, err := Silhouette(c, euclid(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +187,7 @@ func TestValidation(t *testing.T) {
 
 	c = good
 	c.K = 1
-	if _, err := Dunn(c, euclid); err == nil {
+	if _, err := Dunn(c, euclid(c)); err == nil {
 		t.Error("K=1: want error")
 	}
 
@@ -202,7 +205,7 @@ func TestValidation(t *testing.T) {
 
 	c = good
 	c.Centroids = nil
-	if _, err := DaviesBouldin(c, euclid); err == nil {
+	if _, err := DaviesBouldin(c, euclid(c)); err == nil {
 		t.Error("missing centroids: want error")
 	}
 
@@ -214,10 +217,10 @@ func TestValidation(t *testing.T) {
 func TestCoincidentCentroidsError(t *testing.T) {
 	c := twoTightClusters()
 	c.Centroids = [][]float64{{1, 1}, {1, 1}}
-	if _, err := DaviesBouldin(c, euclid); err == nil {
+	if _, err := DaviesBouldin(c, euclid(c)); err == nil {
 		t.Error("coincident centroids: want error (DB)")
 	}
-	if _, err := DaviesBouldinStar(c, euclid); err == nil {
+	if _, err := DaviesBouldinStar(c, euclid(c)); err == nil {
 		t.Error("coincident centroids: want error (DB*)")
 	}
 }
@@ -228,7 +231,7 @@ func TestDunnDegenerateDiameter(t *testing.T) {
 		Assign: []int{0, 0, 1, 1},
 		K:      2,
 	}
-	if _, err := Dunn(c, euclid); err == nil {
+	if _, err := Dunn(c, euclid(c)); err == nil {
 		t.Error("zero diameters: want error")
 	}
 }
@@ -236,7 +239,7 @@ func TestDunnDegenerateDiameter(t *testing.T) {
 func TestAllScoresDegenerateGivesNaN(t *testing.T) {
 	c := twoTightClusters()
 	c.Centroids = [][]float64{{1, 1}, {1, 1}}
-	s := AllScores(c, euclid)
+	s := AllScores(c, euclid(c))
 	if !math.IsNaN(s.DaviesBouldin) || !math.IsNaN(s.DBStar) {
 		t.Error("degenerate DB scores should be NaN")
 	}
@@ -249,7 +252,7 @@ func TestAllScoresDegenerateGivesNaN(t *testing.T) {
 }
 
 func TestAllScoresHealthy(t *testing.T) {
-	s := AllScores(twoTightClusters(), euclid)
+	s := AllScores(twoTightClusters(), euclid(twoTightClusters()))
 	if math.IsNaN(s.DaviesBouldin) || math.IsNaN(s.DBStar) || math.IsNaN(s.Dunn) || math.IsNaN(s.Silhouette) {
 		t.Errorf("healthy clustering produced NaN: %+v", s)
 	}

@@ -57,6 +57,12 @@ func IFFT(x []complex128) {
 	}
 }
 
+// fftInternal is the radix-2 butterfly network behind FFT and IFFT. Its
+// arithmetic is pinned (DESIGN.md §15): the twiddle factor advances by
+// repeated multiplication within each block, and every butterfly runs
+// even where zero padding makes its inputs zero.
+//
+//repro:hotpath
 func fftInternal(x []complex128, inverse bool) {
 	n := len(x)
 	if n == 0 {

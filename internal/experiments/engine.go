@@ -11,9 +11,10 @@ import (
 // Options configures one engine run.
 type Options struct {
 	// Concurrency is the number of parallel workers; <= 0 uses
-	// runtime.NumCPU(). Results are independent of the value: equal
-	// environments and seeds give byte-identical output at any
-	// concurrency.
+	// runtime.NumCPU(). It bounds the runners in flight and, within a
+	// runner that fans out (the Fig. 5 sweep), its goroutines. Results
+	// are independent of the value: equal environments and seeds give
+	// byte-identical output at any concurrency.
 	Concurrency int
 	// IDs selects a subset of registered experiments, in the given
 	// order; nil or empty runs every registered experiment.
@@ -51,15 +52,16 @@ func (eng *Engine) Run(ctx context.Context, opts Options) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	env := eng.env
-	if (opts.HasSeed || opts.Seed != 0) && opts.Seed != env.Seed {
-		clone := *env
-		clone.Seed = opts.Seed
-		env = &clone
-	}
 	workers := opts.Concurrency
 	if workers <= 0 {
 		workers = runtime.NumCPU()
+	}
+	// The run's own view of the environment: the shared dataset and
+	// analyzer under this run's seed and worker budget.
+	env := *eng.env
+	env.workers = workers
+	if opts.HasSeed || opts.Seed != 0 {
+		env.Seed = opts.Seed
 	}
 	if workers > len(runners) {
 		workers = len(runners)
@@ -76,7 +78,7 @@ func (eng *Engine) Run(ctx context.Context, opts Options) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				res, err := runners[idx].Run(runCtx, env)
+				res, err := runners[idx].Run(runCtx, &env)
 				if err != nil {
 					errs[idx] = fmt.Errorf("%s: %w", runners[idx].ID, err)
 					cancel() // abort outstanding scheduling

@@ -36,6 +36,10 @@ type Env struct {
 	// initialization of the Fig. 5 sweep). Equal seeds over equal
 	// datasets give byte-identical results at any concurrency.
 	Seed uint64
+	// workers is how many goroutines a runner may fan its own work out
+	// over (the Fig. 5 sweep does); the engine sets it from
+	// Options.Concurrency, and a runner called directly runs serially.
+	workers int
 }
 
 // NewEnv generates a synthetic dataset for the given configuration

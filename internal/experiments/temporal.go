@@ -100,26 +100,37 @@ func (e *Env) Fig4(ctx context.Context) (Result, error) {
 
 	// Right panel of Fig. 4: the detector internals on Facebook's
 	// Monday — raw signal, smoothed baseline and the ±threshold band.
+	// Monday is the study week's third day; a window shorter than three
+	// days shows its last full day instead, named by its own calendar.
 	s, det, _, err := e.An.DetectOn(services.DL, "Facebook")
 	if err != nil {
 		return res, err
 	}
 	day := int(24 * 60 / (s.Step.Minutes()))
-	lo, hi := 2*day, 3*day // Monday
+	lo, label := 2*day, "Monday"
+	if fullDays := s.Len() / day; fullDays == 0 {
+		fmt.Fprintf(&b, "detector panel skipped: the %d-bin window holds no full day\n", s.Len())
+		res.Text = b.String()
+		return res, nil
+	} else if fullDays < 3 {
+		lo = (fullDays - 1) * day
+		label = s.TimeAt(lo).Weekday().String()
+	}
+	hi := lo + day
 	p := peaks.PaperParams()
 	band := make([]float64, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		band = append(band, det.AvgFilter[i]+p.Threshold*det.StdFilter[i])
 	}
-	b.WriteString(report.LinePlot("Facebook Monday — raw signal", s.Values[lo:hi], 96, 8, nil))
-	b.WriteString(report.LinePlot("Facebook Monday — smoothed z-score threshold (avg + 3σ)", band, 96, 8, nil))
+	b.WriteString(report.LinePlot("Facebook "+label+" — raw signal", s.Values[lo:hi], 96, 8, nil))
+	b.WriteString(report.LinePlot("Facebook "+label+" — smoothed z-score threshold (avg + 3σ)", band, 96, 8, nil))
 	sigRow := make([]float64, hi-lo)
 	for i := lo; i < hi; i++ {
 		if det.Signals[i] == 1 {
 			sigRow[i-lo] = 1
 		}
 	}
-	b.WriteString(report.LinePlot("Facebook Monday — binary peak signal", sigRow, 96, 3, nil))
+	b.WriteString(report.LinePlot("Facebook "+label+" — binary peak signal", sigRow, 96, 3, nil))
 
 	res.Text = b.String()
 	return res, nil
@@ -132,14 +143,13 @@ func (e *Env) Fig5(ctx context.Context) (Result, error) {
 	res := Result{ID: "fig5", Title: "Cluster quality indices vs k", Metrics: map[string]float64{}}
 	var b strings.Builder
 	kMax := min(19, len(e.DS.Services())-1)
-	for _, dir := range []services.Direction{services.DL, services.UL} {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		sweep, err := e.An.ClusterSweep(dir, 2, kMax, e.Seed)
-		if err != nil {
-			return res, err
-		}
+	dirs := []services.Direction{services.DL, services.UL}
+	sweeps, err := e.An.ClusterSweep(ctx, dirs, 2, kMax, e.Seed, e.workers)
+	if err != nil {
+		return res, err
+	}
+	for d, dir := range dirs {
+		sweep := sweeps[d]
 		rows := make([][]string, 0, len(sweep))
 		for _, p := range sweep {
 			rows = append(rows, []string{

@@ -3,6 +3,8 @@ package kshape
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/cvi"
 )
 
 // BestKResult is the outcome of a silhouette-guided model selection.
@@ -25,13 +27,21 @@ func SelectK(series [][]float64, kMin, kMax int, opts Options) (*BestKResult, er
 	if kMin < 2 || kMax < kMin || kMax >= len(series) {
 		return nil, fmt.Errorf("kshape: SelectK range [%d, %d] invalid for %d series", kMin, kMax, len(series))
 	}
+	set, err := NewSeriesSet(series, opts.ZNormalize)
+	if err != nil {
+		return nil, err
+	}
+	dist := set.Distances(set.DistanceMatrix(), nil)
+	ws := new(Workspace)
 	best := &BestKResult{K: 0, Silhouette: math.Inf(-1), ByK: map[int]float64{}}
 	for k := kMin; k <= kMax; k++ {
-		res, err := Cluster(series, k, opts)
+		res, err := set.Cluster(k, opts, ws)
 		if err != nil {
 			return nil, err
 		}
-		sil, err := silhouetteOf(series, res, k, opts)
+		// The mean silhouette under the same normalization the
+		// clustering used.
+		sil, err := cvi.Silhouette(cvi.Clustering{Points: set.data, Assign: res.Assign, K: k}, dist)
 		if err != nil {
 			best.ByK[k] = math.NaN()
 			continue
@@ -58,81 +68,4 @@ func (r *BestKResult) Decisive(margin float64) bool {
 		}
 	}
 	return r.Silhouette-runnerUp >= margin
-}
-
-// silhouetteOf computes the mean silhouette of a k-Shape result using
-// the same normalization the clustering used.
-func silhouetteOf(series [][]float64, res *Result, k int, opts Options) (float64, error) {
-	data := series
-	if opts.ZNormalize {
-		data = make([][]float64, len(series))
-		for i, s := range series {
-			data[i] = zNorm(s)
-		}
-	}
-	// Inline mean-silhouette with SBD (avoids a dependency cycle with
-	// the cvi package, which imports nothing from kshape but is used
-	// together with it by callers).
-	n := len(data)
-	counts := make([]int, k)
-	for _, a := range res.Assign {
-		counts[a]++
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		own := res.Assign[i]
-		if counts[own] == 1 {
-			continue
-		}
-		sums := make([]float64, k)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			d, _ := SBD(data[i], data[j])
-			sums[res.Assign[j]] += d
-		}
-		a := sums[own] / float64(counts[own]-1)
-		b := math.Inf(1)
-		for c := 0; c < k; c++ {
-			if c == own || counts[c] == 0 {
-				continue
-			}
-			if m := sums[c] / float64(counts[c]); m < b {
-				b = m
-			}
-		}
-		if denom := math.Max(a, b); denom > 0 {
-			total += (b - a) / denom
-		}
-	}
-	return total / float64(n), nil
-}
-
-// zNorm is a local z-normalization (duplicated from timeseries to keep
-// this file free of imports beyond the stdlib).
-func zNorm(x []float64) []float64 {
-	out := make([]float64, len(x))
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	if len(x) == 0 {
-		return out
-	}
-	mean /= float64(len(x))
-	var variance float64
-	for _, v := range x {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(x))
-	std := math.Sqrt(variance)
-	if std == 0 {
-		return out
-	}
-	for i, v := range x {
-		out[i] = (v - mean) / std
-	}
-	return out
 }

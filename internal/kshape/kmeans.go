@@ -14,12 +14,15 @@ import (
 // shift-invariant, so phase-offset copies of the same shape land in
 // different clusters.
 func KMeans(series [][]float64, k int, opts Options) (*Result, error) {
-	if err := validate(series, k); err != nil {
+	m, err := validateSeries(series)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateK(k, len(series)); err != nil {
 		return nil, err
 	}
 	opts = opts.withDefaults()
 	n := len(series)
-	m := len(series[0])
 
 	data := series
 	if opts.ZNormalize {
@@ -58,7 +61,7 @@ func KMeans(series [][]float64, k int, opts Options) (*Result, error) {
 				changed = true
 			}
 		}
-		fixEmptyClusters(data, assign, centroids, k, rng)
+		fixEmptyClusters(assign, k, rng, func(c, pick int) { copy(centroids[c], data[pick]) })
 		if !changed {
 			iter++
 			break

@@ -104,7 +104,10 @@ func TestDistanceMatrixSymmetric(t *testing.T) {
 			series[i][j] = rng.NormFloat64()
 		}
 	}
-	m := DistanceMatrix(series)
+	m, err := DistanceMatrix(series)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range m {
 		if m[i][i] != 0 {
 			t.Errorf("diagonal [%d] = %v", i, m[i][i])

@@ -60,20 +60,20 @@ func isZero(x []float64) bool {
 	return true
 }
 
-// DistanceMatrix returns the symmetric SBD matrix of the given series
-// set; entry [i][j] is SBD(series[i], series[j]).
-func DistanceMatrix(series [][]float64) [][]float64 {
-	n := len(series)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
+// DistanceMatrix returns the symmetric SBD matrix of the given
+// equal-length series: entry [i][j] with i < j is SBD(series[i],
+// series[j]), mirrored below the diagonal. (SeriesSet.DistanceMatrix
+// keeps the two orders apart.)
+func DistanceMatrix(series [][]float64) ([][]float64, error) {
+	set, err := NewSeriesSet(series, false)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d, _ := SBD(series[i], series[j])
-			m[i][j] = d
-			m[j][i] = d
+	m := set.DistanceMatrix()
+	for i := range m {
+		for j := i + 1; j < len(m); j++ {
+			m[j][i] = m[i][j]
 		}
 	}
-	return m
+	return m, nil
 }

@@ -134,7 +134,17 @@ func PowerIteration(a *Dense, start []float64, maxIter int, tol float64) (value 
 	if a.Rows != a.Cols {
 		return 0, nil, fmt.Errorf("mat: PowerIteration on non-square %dx%d matrix", a.Rows, a.Cols)
 	}
-	n := a.Rows
+	value, vector = powerIteration(a.MulVecTo, a.Rows, start, maxIter, tol)
+	return value, vector, nil
+}
+
+// powerIteration is PowerIteration over any n×n linear map mulVec
+// (dst, v) -> dst = A·v; the tests count its mat-vecs through this
+// seam. Each step needs A·w twice — for the Rayleigh quotient wᵀ·A·w
+// and as the next step's un-normalized iterate — so the product is
+// computed once and carried over: iters+1 mat-vecs, not 2·iters, with
+// every floating-point operation unchanged.
+func powerIteration(mulVec func(dst, v []float64) []float64, n int, start []float64, maxIter int, tol float64) (float64, []float64) {
 	v := make([]float64, n)
 	if start != nil && len(start) == n && Norm2(start) > 0 {
 		copy(v, start)
@@ -153,20 +163,22 @@ func PowerIteration(a *Dense, start []float64, maxIter int, tol float64) (value 
 		tol = 1e-12
 	}
 	prev := math.Inf(1)
+	av := mulVec(make([]float64, n), v)
 	for iter := 0; iter < maxIter; iter++ {
-		w := a.MulVec(v)
-		norm := Norm2(w)
+		norm := Norm2(av)
 		if norm == 0 {
 			// a·v == 0: v is in the null space; eigenvalue 0.
-			return 0, v, nil
+			return 0, v
 		}
-		Scale(w, 1/norm)
-		lambda := Dot(w, a.MulVec(w))
+		// w = a·v/‖a·v‖ becomes the iterate; v's buffer takes a·w.
+		w := Scale(av, 1/norm)
+		av = mulVec(v, w)
 		v = w
+		lambda := Dot(v, av)
 		if math.Abs(lambda-prev) <= tol*(1+math.Abs(lambda)) {
-			return lambda, v, nil
+			return lambda, v
 		}
 		prev = lambda
 	}
-	return prev, v, nil
+	return prev, v
 }

@@ -78,19 +78,48 @@ func Transpose(m *Dense) *Dense {
 
 // MulVec returns m·v as a new slice. It panics if len(v) != m.Cols.
 func (m *Dense) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
+	return m.MulVecTo(make([]float64, m.Rows), v)
+}
+
+// MulVecTo writes m·v into dst and returns it. It panics if
+// len(v) != m.Cols or len(dst) != m.Rows; dst must not alias v.
+//
+// Four rows are swept per pass over v, each with its own accumulator
+// summing left to right: every out[i] is bit-identical to the plain
+// row dot product (DESIGN.md §15 — several accumulators within one
+// row would not be), while the four independent add chains hide the
+// floating-point add latency a single chain is bound by.
+//
+//repro:hotpath
+func (m *Dense) MulVecTo(dst, v []float64) []float64 {
+	if len(v) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d · %d -> %d", m.Rows, m.Cols, len(v), len(dst)))
 	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var sum float64
-		for j, rv := range row {
-			sum += rv * v[j]
+	c := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[(i+0)*c : (i+1)*c][:len(v)]
+		r1 := m.Data[(i+1)*c : (i+2)*c][:len(v)]
+		r2 := m.Data[(i+2)*c : (i+3)*c][:len(v)]
+		r3 := m.Data[(i+3)*c : (i+4)*c][:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
 		}
-		out[i] = sum
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
 	}
-	return out
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*c : (i+1)*c][:len(v)]
+		var sum float64
+		for j, x := range v {
+			sum += row[j] * x
+		}
+		dst[i] = sum
+	}
+	return dst
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,5 +309,61 @@ func TestOpenFromFile(t *testing.T) {
 	if _, err := experiments.NewEngine(env).Run(context.Background(),
 		experiments.Options{IDs: []string{"fig2"}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFig4ShortWindows is the regression test for the windowed-view
+// panic: Fig. 4's detector panel indexed the week's third day whatever
+// the window held. A window of under three days shows its last full
+// day under that day's own name, one with no full day says so, and a
+// window of three days or more still shows Monday.
+func TestFig4ShortWindows(t *testing.T) {
+	fx := newFixture(t, 3000)
+	_, part := fx.run(t, 2, true)
+	path := t.TempDir() + "/week.roll"
+	if err := rollup.WriteFile(path, part); err != nil {
+		t.Fatal(err)
+	}
+	day, err := part.Cfg.DayBins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig4 := func(from, to int) string {
+		t.Helper()
+		env, err := experiments.NewEnvFromSnapshotWindow(path, from, to, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := experiments.NewEngine(env).Run(context.Background(), experiments.Options{IDs: []string{"fig4"}})
+		if err != nil {
+			t.Fatalf("window %d:%d: %v", from, to, err)
+		}
+		return res[0].Text
+	}
+	for _, tc := range []struct {
+		from, to int
+		want     string
+	}{
+		{0, day, "Facebook Saturday — raw signal"},
+		{0, 2 * day, "Facebook Sunday — raw signal"},
+		{day, 2*day + day/2, "Facebook Sunday — raw signal"},
+		{0, day / 2, "detector panel skipped"},
+		{0, 3 * day, "Facebook Monday — raw signal"},
+	} {
+		if got := fig4(tc.from, tc.to); !strings.Contains(got, tc.want) {
+			t.Errorf("window %d:%d: fig4 lacks %q", tc.from, tc.to, tc.want)
+		}
+	}
+	// The whole week through the window path is the unwindowed figure.
+	env, err := experiments.NewEnvFromSnapshot(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := env.Fig4(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig4(0, part.Cfg.Bins) != whole.Text {
+		t.Error("fig4 over the 0:Bins window differs from the unwindowed figure")
 	}
 }
