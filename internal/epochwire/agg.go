@@ -98,6 +98,10 @@ type Aggregator struct {
 	// outside the lock.
 	foldCache *rollup.Partial
 	snapCache []byte
+	// stateBuf and partBuf are persistLocked's scratch — the state file
+	// image and one probe's partial blob — kept across persists so a
+	// rewrite reuses the previous one's memory.
+	stateBuf, partBuf bytes.Buffer
 
 	done     chan struct{} // closed when Probes distinct probes have fin'd
 	stopOnce sync.Once
@@ -805,7 +809,8 @@ func (a *Aggregator) persistLocked() error {
 		a.dirty = 0
 		return nil
 	}
-	var buf bytes.Buffer
+	buf := &a.stateBuf
+	buf.Reset()
 	buf.Write(stateMagic)
 	buf.WriteByte(stateVersion)
 	if a.haveBase {
@@ -814,7 +819,7 @@ func (a *Aggregator) persistLocked() error {
 		if err != nil {
 			return err
 		}
-		if err := capture.WriteString(&buf, string(blob)); err != nil {
+		if err := capture.WriteString(buf, string(blob)); err != nil {
 			return err
 		}
 	} else {
@@ -825,21 +830,21 @@ func (a *Aggregator) persistLocked() error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	if err := capture.WriteUvarint(&buf, uint64(len(ids))); err != nil {
+	if err := capture.WriteUvarint(buf, uint64(len(ids))); err != nil {
 		return err
 	}
 	for _, id := range ids {
 		ps := a.probes[id]
-		if err := capture.WriteString(&buf, id); err != nil {
+		if err := capture.WriteString(buf, id); err != nil {
 			return err
 		}
 		var i64 [8]byte
 		putUint64(i64[:], ps.incarnation)
 		buf.Write(i64[:])
-		if err := capture.WriteUvarint(&buf, ps.applied); err != nil {
+		if err := capture.WriteUvarint(buf, ps.applied); err != nil {
 			return err
 		}
-		if err := capture.WriteUvarint(&buf, ps.watermark); err != nil {
+		if err := capture.WriteUvarint(buf, ps.watermark); err != nil {
 			return err
 		}
 		if ps.fin {
@@ -851,20 +856,22 @@ func (a *Aggregator) persistLocked() error {
 		if err != nil {
 			return err
 		}
-		if err := capture.WriteString(&buf, string(blob)); err != nil {
+		if err := capture.WriteString(buf, string(blob)); err != nil {
 			return err
 		}
 		if ps.part == nil {
 			buf.WriteByte(0)
 		} else {
 			buf.WriteByte(1)
-			var pbuf bytes.Buffer
-			if err := rollup.Write(&pbuf, ps.part); err != nil {
+			pbuf := &a.partBuf
+			pbuf.Reset()
+			if err := rollup.Write(pbuf, ps.part); err != nil {
 				return err
 			}
-			if err := capture.WriteString(&buf, pbuf.String()); err != nil {
+			if err := capture.WriteUvarint(buf, uint64(pbuf.Len())); err != nil {
 				return err
 			}
+			buf.Write(pbuf.Bytes())
 		}
 	}
 	var crc [4]byte

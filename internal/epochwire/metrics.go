@@ -30,6 +30,7 @@ type ShipperMetrics struct {
 	Unacked       *obs.Gauge   // wire_unacked_messages: spooled but not yet durable
 	DurableSeq    *obs.Gauge   // wire_durable_seq: aggregator's durable cursor
 	Spooled       *obs.Counter // wire_messages_spooled_total: epochs + fin appended
+	SpoolSyncs    *obs.Counter // wire_spool_syncs_total: group-commit fsyncs that succeeded
 	Sends         *obs.Counter // wire_sends_total: epoch/fin messages written to the wire
 	Acks          *obs.Counter // wire_acks_total: acks received
 	Pings         *obs.Counter // wire_pings_total: keepalive pings sent
@@ -52,6 +53,7 @@ func NewShipperMetrics(reg *obs.Registry) *ShipperMetrics {
 		Unacked:       reg.Gauge("wire_unacked_messages", "Messages spooled but not yet durable at the aggregator."),
 		DurableSeq:    reg.Gauge("wire_durable_seq", "The aggregator's durable cursor as last acknowledged."),
 		Spooled:       reg.Counter("wire_messages_spooled_total", "Epoch and fin messages appended to the spool."),
+		SpoolSyncs:    reg.Counter("wire_spool_syncs_total", "Spool fsyncs that succeeded; each covers every message spooled before it (spooled/syncs is the group-commit ratio)."),
 		Sends:         reg.Counter("wire_sends_total", "Epoch and fin messages written to the wire (includes retransmits)."),
 		Acks:          reg.Counter("wire_acks_total", "Acknowledgements received."),
 		Pings:         reg.Counter("wire_pings_total", "Keepalive pings sent."),

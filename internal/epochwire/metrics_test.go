@@ -69,6 +69,11 @@ func TestWireMetricsEndToEnd(t *testing.T) {
 	if got := sm.Spooled.Load(); got != 5 {
 		t.Errorf("spooled = %d, want 5 (4 epochs + fin)", got)
 	}
+	// Group commit: at least one fsync stood behind those sends, and
+	// never more than one per message.
+	if got := sm.SpoolSyncs.Load(); got < 1 || got > sm.Spooled.Load() {
+		t.Errorf("spool syncs = %d, want 1 <= syncs <= spooled (%d)", got, sm.Spooled.Load())
+	}
 	if got := sm.Sends.Load(); got < 5 {
 		t.Errorf("sends = %d, want >= 5", got)
 	}

@@ -72,6 +72,7 @@ package epochwire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -192,9 +193,10 @@ type crcReader struct {
 func (c *crcReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
 	if err == nil {
-		var one [1]byte
-		one[0] = b
-		c.sum = crc32.Update(c.sum, crc32.IEEETable, one[:])
+		// crc32.Update over one byte, spelled out: handing it a slice of
+		// a local makes the local escape, an allocation per byte read.
+		sum := ^c.sum
+		c.sum = ^(crc32.IEEETable[byte(sum)^b] ^ sum>>8)
 	}
 	return b, err
 }
@@ -209,11 +211,16 @@ func (c *crcReader) Read(p []byte) (int, error) {
 // readCRCTrailer reads the 4-byte trailer (bypassing cr) and checks it
 // against what cr accumulated.
 func readCRCTrailer(r *bufio.Reader, cr *crcReader, what string) error {
-	var crc [4]byte
-	if err := capture.ReadFull(r, crc[:], what+" crc"); err != nil {
-		return err
+	crc, err := r.Peek(4)
+	if err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // a frame without its trailer is cut short, not closed
+		}
+		return fmt.Errorf("epochwire: truncated %s crc: %w", what, err)
 	}
-	if got := getUint32(crc[:]); got != cr.sum {
+	got := getUint32(crc)
+	r.Discard(4) // cannot fail: Peek just buffered them
+	if got != cr.sum {
 		return fmt.Errorf("epochwire: %s CRC mismatch (frame says %08x, content sums to %08x)", what, got, cr.sum)
 	}
 	return nil
@@ -222,7 +229,9 @@ func readCRCTrailer(r *bufio.Reader, cr *crcReader, what string) error {
 // ReadMessage reads one framed message. Declared lengths are checked
 // against the package limits before allocation; a stream that ends
 // mid-message errors with io.ErrUnexpectedEOF, and a payload that does
-// not parse to exactly its declared length is a framing error.
+// not parse to exactly its declared length is a framing error. The
+// payload is read whole (through the CRC) and parsed from the slice;
+// an epoch's Blob aliases it.
 func ReadMessage(r *bufio.Reader) (*Message, error) {
 	cr := &crcReader{r: r}
 	typ, err := cr.ReadByte()
@@ -236,42 +245,48 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	lr := &io.LimitedReader{R: cr, N: int64(n)}
-	blr := bufio.NewReader(lr)
+	switch typ {
+	case MsgEpoch, MsgFin, MsgAck, MsgPong, MsgPing:
+	default:
+		// Before the payload: an unknown type buys no buffering.
+		return nil, fmt.Errorf("epochwire: unknown message type 0x%02x", typ)
+	}
+	rest, err := readAll(cr, n, "epochwire message payload")
+	if err != nil {
+		return nil, err
+	}
 	m := &Message{Type: typ}
 	switch typ {
 	case MsgEpoch, MsgFin:
-		if m.Seq, err = capture.ReadUvarint(blr, ^uint64(0)>>1, "epochwire seq"); err != nil {
+		if m.Seq, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire seq"); err != nil {
 			return nil, err
 		}
-		if m.Watermark, err = capture.ReadUvarint(blr, rollup.MaxBins+1, "epochwire watermark"); err != nil {
+		if m.Watermark, rest, err = cutUvarint(rest, rollup.MaxBins+1, "epochwire watermark"); err != nil {
 			return nil, err
 		}
-		bl, err := capture.ReadUvarint(blr, MaxBlob, "epochwire blob length")
-		if err != nil {
+		var bl uint64
+		if bl, rest, err = cutUvarint(rest, MaxBlob, "epochwire blob length"); err != nil {
 			return nil, err
 		}
-		m.Blob, err = readAll(blr, bl, "epochwire epoch blob")
-		if err != nil {
-			return nil, err
+		if uint64(len(rest)) < bl {
+			return nil, fmt.Errorf("epochwire: truncated epoch blob (%d of %d bytes): %w", len(rest), bl, io.ErrUnexpectedEOF)
 		}
+		m.Blob, rest = rest[:bl], rest[bl:]
 	case MsgAck:
-		if m.Seq, err = capture.ReadUvarint(blr, ^uint64(0)>>1, "epochwire ack seq"); err != nil {
+		if m.Seq, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire ack seq"); err != nil {
 			return nil, err
 		}
-		if m.Durable, err = capture.ReadUvarint(blr, ^uint64(0)>>1, "epochwire ack durable"); err != nil {
+		if m.Durable, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire ack durable"); err != nil {
 			return nil, err
 		}
 	case MsgPong:
-		if m.Durable, err = capture.ReadUvarint(blr, ^uint64(0)>>1, "epochwire pong durable"); err != nil {
+		if m.Durable, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire pong durable"); err != nil {
 			return nil, err
 		}
 	case MsgPing:
 		// Empty payload.
-	default:
-		return nil, fmt.Errorf("epochwire: unknown message type 0x%02x", typ)
 	}
-	if blr.Buffered() > 0 || lr.N > 0 {
+	if len(rest) > 0 {
 		return nil, fmt.Errorf("epochwire: message payload longer than its %q content", typ)
 	}
 	if err := readCRCTrailer(r, cr, "epochwire message"); err != nil {
@@ -280,15 +295,44 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 	return m, nil
 }
 
-// readAll reads exactly n declared bytes without trusting n for the
-// allocation: the buffer grows as bytes actually arrive, so a lying
-// length on a truncated stream cannot force a huge up-front alloc.
-func readAll(r io.Reader, n uint64, what string) ([]byte, error) {
-	var buf bytes.Buffer
-	if m, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("epochwire: truncated %s (%d of %d bytes): %w", what, m, n, io.ErrUnexpectedEOF)
+// cutUvarint parses one uvarint field off the front of a message
+// payload, with capture.ReadUvarint's contract: values above max are
+// rejected, and a payload that ends inside the field is truncation.
+func cutUvarint(p []byte, max uint64, what string) (uint64, []byte, error) {
+	v, n := binary.Uvarint(p)
+	if n == 0 {
+		return 0, nil, fmt.Errorf("epochwire: truncated %s: %w", what, io.ErrUnexpectedEOF)
 	}
-	return buf.Bytes(), nil
+	if n < 0 {
+		return 0, nil, fmt.Errorf("epochwire: %s overflows 64 bits", what)
+	}
+	return v, p[n:], capture.CheckLimit(v, max, what)
+}
+
+// readAllFirst is the most a declared length is trusted for before any
+// of its bytes have arrived.
+const readAllFirst = 4096
+
+// readAll reads exactly n declared bytes without trusting n for the
+// allocation: past the first readAllFirst bytes the buffer grows only
+// as bytes actually arrive, so a lying length on a truncated stream
+// cannot force a huge up-front alloc.
+func readAll(r io.Reader, n uint64, what string) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readAllFirst))
+	for uint64(len(buf)) < n {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] // amortized growth, earned by the bytes already read
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(uint64(cap(buf)), n)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF // the stream ended inside a message
+			}
+			return nil, fmt.Errorf("epochwire: truncated %s (%d of %d bytes): %w", what, len(buf), n, err)
+		}
+	}
+	return buf, nil
 }
 
 // Hello is the probe's half of the handshake.

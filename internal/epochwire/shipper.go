@@ -65,12 +65,14 @@ type ShipperConfig struct {
 // Shipper streams sealed epochs to an aggregator. Wire it to a
 // pipeline with Collector.WithSealHook(s.SealHook): every sealed
 // generation is encoded as a one-epoch snapshot, spooled to disk, and
-// sent in order over a self-healing connection. The network never
-// backpressures the pipeline — sealing appends to the spool and
-// returns; a sender goroutine drains it at whatever pace the
-// aggregator sustains, reconnecting with exponential backoff and
-// resuming from the aggregator's durable cursor after either side
-// restarts the connection.
+// sent in order over a self-healing connection. Neither the network
+// nor the disk's sync latency backpressures the pipeline — sealing
+// writes to the spool and returns; a sender goroutine fsyncs what it
+// finds waiting (one sync per batch, always before the first send of
+// anything in it) and drains it at whatever pace the aggregator
+// sustains, reconnecting with exponential backoff and resuming from
+// the aggregator's durable cursor after either side restarts the
+// connection.
 //
 // After the pipeline drains, Finish ships the run's totals as a FIN
 // message and blocks until the aggregator has made the whole stream
@@ -128,23 +130,21 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 		d := &net.Dialer{Timeout: cfg.AckTimeout}
 		cfg.Dial = d.Dial
 	}
-	sp, err := newSpool(cfg.SpoolPath, cfg.FS, cfg.SpoolBudget)
-	if err != nil {
-		return nil, err
-	}
 	var inc [8]byte
 	if _, err := rand.Read(inc[:]); err != nil {
-		sp.close()
 		return nil, fmt.Errorf("epochwire: drawing incarnation: %w", err)
 	}
 	s := &Shipper{
 		cfg:         cfg,
 		incarnation: getUint64(inc[:]),
-		sp:          sp,
 		metrics:     noShipperMetrics,
 		horizons:    make([]uint64, cfg.Shards),
 		notify:      make(chan struct{}, 1),
 		exited:      make(chan struct{}),
+	}
+	var err error
+	if s.sp, err = newSpool(cfg.SpoolPath, cfg.FS, cfg.SpoolBudget, s.poke); err != nil {
+		return nil, err
 	}
 	if cfg.Registry != nil {
 		s.metrics = NewShipperMetrics(cfg.Registry)
@@ -324,12 +324,12 @@ func (e *rejectError) Error() string {
 // rejections the sender tolerates before latching fatal.
 const consecutiveRejectLimit = 3
 
-// sender is the connection goroutine: dial, handshake, stream the
-// spool from the aggregator's cursor, one ack per message, pings when
-// idle. The error taxonomy drives the loop: a transient session error
-// closes the conn and redials with jittered exponential backoff; a
-// fatal one (repeated rejection, a spool gap, RetryFor running out)
-// latches and ends the sender.
+// sender is the connection goroutine: dial, handshake, commit and
+// stream the spool from the aggregator's cursor, one ack per message,
+// pings when idle. The error taxonomy drives the loop: a transient
+// session error closes the conn and redials with jittered exponential
+// backoff; a fatal one (repeated rejection, a spool gap, a commit out
+// of retries, RetryFor running out) latches and ends the sender.
 func (s *Shipper) sender() {
 	defer close(s.exited)
 	attempt := 0
@@ -456,11 +456,28 @@ func (s *Shipper) serve(conn net.Conn) error {
 	s.cfg.Logf("epochwire: connected to %s, resuming from seq %d", s.cfg.Addr, wl.Durable+1)
 
 	next := wl.Durable + 1
+	// earlyPing is set once a budget-starved spool has been answered with
+	// an immediate ping and cleared by the next send: one early ping per
+	// starvation, so a persist that keeps failing at the aggregator costs
+	// one extra ping, not a hot loop.
+	earlyPing := false
 	for {
 		if s.done() {
 			return nil
 		}
 		if next <= s.sp.lastSeq() {
+			if next > s.sp.committedSeq() {
+				// Group commit: one fsync covers everything sealed since
+				// the last one. Nothing reaches the wire before the sync
+				// covering it has returned; exhausting the retry budget is
+				// fatal, exactly as a spool write's is.
+				err := s.sp.commit()
+				s.syncSpoolGauges() // a commit may have retried
+				if err != nil {
+					return err
+				}
+				s.metrics.SpoolSyncs.Inc()
+			}
 			m, err := s.sp.get(next)
 			if err != nil {
 				return err // Fatal-labeled by the spool
@@ -470,6 +487,7 @@ func (s *Shipper) serve(conn net.Conn) error {
 				return err
 			}
 			s.metrics.Sends.Inc()
+			earlyPing = false
 			ack, err := s.readAck(br, MsgAck)
 			if err != nil {
 				return err
@@ -501,28 +519,41 @@ func (s *Shipper) serve(conn net.Conn) error {
 		// The pong carries the aggregator's durable cursor, so a state
 		// persist that failed at apply time and succeeded on a later
 		// retry still reaches an idle probe waiting on fin durability.
-		select {
-		case <-s.notify:
-		case <-time.After(s.cfg.Keepalive):
-			conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
-			if err := WriteMessage(conn, &Message{Type: MsgPing}); err != nil {
-				return err
+		//
+		// A seal blocked on the spool budget cannot wait for the timer:
+		// the file shrinks only when the spool empties, which takes a
+		// durable cursor this idle session will not hear about before its
+		// next ping (the aggregator persists every PersistEvery applies,
+		// and everything it was sent is already acked). So a starved spool
+		// with undurable entries pings at once — the ping makes the
+		// aggregator persist — instead of stalling capture for a Keepalive.
+		if s.sp.starved() && !earlyPing && s.Durable() < s.sp.lastSeq() {
+			earlyPing = true
+		} else {
+			select {
+			case <-s.notify:
+				continue
+			case <-time.After(s.cfg.Keepalive):
 			}
-			s.metrics.Pings.Inc()
-			pong, err := s.readAck(br, MsgPong)
-			if err != nil {
-				return err
-			}
-			s.mu.Lock()
-			if pong.Durable > s.durable {
-				s.durable = pong.Durable
-			}
-			s.mu.Unlock()
-			s.sp.pruneThrough(pong.Durable)
-			s.syncSpoolGauges()
-			if pong.Durable >= next {
-				next = pong.Durable + 1
-			}
+		}
+		conn.SetDeadline(time.Now().Add(s.cfg.AckTimeout))
+		if err := WriteMessage(conn, &Message{Type: MsgPing}); err != nil {
+			return err
+		}
+		s.metrics.Pings.Inc()
+		pong, err := s.readAck(br, MsgPong)
+		if err != nil {
+			return err
+		}
+		s.mu.Lock()
+		if pong.Durable > s.durable {
+			s.durable = pong.Durable
+		}
+		s.mu.Unlock()
+		s.sp.pruneThrough(pong.Durable)
+		s.syncSpoolGauges()
+		if pong.Durable >= next {
+			next = pong.Durable + 1
 		}
 	}
 }
