@@ -8,29 +8,31 @@
 // persist to the state file, reconnecting probes resume from their
 // durable sequence, and nothing is double-counted — the mid-run
 // aggregator restart of the conformance suite rides on exactly this.
-// With -ctl a second listener serves the line-oriented admin protocol
-// (snapshot / window A:B / status / metrics) that cmd/rollupctl fetch
-// speaks, and -metrics adds an HTTP listener with /metrics (Prometheus
-// text), /debug/vars (JSON) and net/http/pprof.
+// With -ctl a second listener serves the internal/ctl admin protocol
+// (status / snapshot / query / window A:B / metrics) that cmd/rollupctl
+// fetch speaks, and -metrics adds an HTTP listener with /metrics
+// (Prometheus text), /debug/vars (JSON) and net/http/pprof.
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/daemon"
 	"repro/internal/epochwire"
 	"repro/internal/obs"
 )
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `aggd: fold epoch streams from probed instances into one snapshot
+	os.Exit(run(daemon.SignalContext("aggd"), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+const usage = `aggd: fold epoch streams from probed instances into one snapshot
 
 Listens on -listen for probe connections; with -probes N it exits 0
 on its own once N distinct probes complete their runs, writing the
@@ -38,110 +40,96 @@ aggregate to -snapshot. SIGINT/SIGTERM also drains gracefully:
 state persists, the snapshot (of whatever has arrived) is written,
 exit 0.
 
-`)
-		flag.PrintDefaults()
-	}
-	listen := flag.String("listen", "127.0.0.1:9900", "address to accept probe connections on")
-	ctl := flag.String("ctl", "", "address for the admin socket (snapshot/window/status; used by rollupctl fetch)")
-	probes := flag.Int("probes", 0, "drain after this many distinct probes complete (0 = run until signalled)")
-	state := flag.String("state", "", "persist aggregation state to this file (enables restart without data loss)")
-	snapshot := flag.String("snapshot", "", "write the folded aggregate snapshot here on drain/shutdown")
-	persistEvery := flag.Int("persist-every", 16, "persist state after this many applied epochs (FIN always persists)")
-	idleTimeout := flag.Duration("idle-timeout", 60*time.Second, "per-connection read deadline (probes ping well inside it)")
-	metricsAddr := flag.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address")
-	metricsDump := flag.String("metrics-dump", "", "write the final registry JSON to this file on drain (for CI assertions)")
-	chaosSpec := flag.String("chaos", "", "inject seeded faults, e.g. 1234:reset=0.05,fsync=0.02,fuel=40 (see internal/chaos)")
-	verbose := flag.Bool("v", false, "log debug detail")
-	quiet := flag.Bool("quiet", false, "log only errors and the final summary")
-	flag.Parse()
+`
 
-	log := obs.NewLogger(os.Stderr, "aggd", obs.LevelFromFlags(*verbose, *quiet))
-	reg := obs.NewRegistry()
-	acfg := epochwire.AggConfig{
-		Probes:       *probes,
-		StatePath:    *state,
-		PersistEvery: *persistEvery,
-		IdleTimeout:  *idleTimeout,
-		Logf:         log.Infof,
-		Registry:     reg,
+// run is the whole daemon, returning its exit code: it drains when
+// -probes runs complete or ctx is cancelled (the first SIGINT/SIGTERM),
+// and returns 0 only if the aggregate it wrote is conserved.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("aggd", usage, stderr)
+	listen := fs.String("listen", "127.0.0.1:9900", "address to accept probe connections on")
+	ctlAddr := fs.String("ctl", "", "address for the admin socket (status/snapshot/query/window/metrics; used by rollupctl fetch)")
+	var acfg epochwire.AggConfig
+	fs.IntVar(&acfg.Probes, "probes", 0, "drain after this many distinct probes complete (0 = run until signalled)")
+	fs.StringVar(&acfg.StatePath, "state", "", "persist aggregation state to this file (enables restart without data loss)")
+	snapshot := fs.String("snapshot", "", "write the folded aggregate snapshot here on drain/shutdown")
+	fs.IntVar(&acfg.PersistEvery, "persist-every", 16, "persist state after this many applied epochs (FIN always persists)")
+	fs.DurationVar(&acfg.IdleTimeout, "idle-timeout", 60*time.Second, "per-connection read deadline (probes ping well inside it)")
+	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address")
+	metricsDump := fs.String("metrics-dump", "", "write the final registry JSON to this file on drain (for CI assertions)")
+	chaosSpec := fs.String("chaos", "", "inject seeded faults, e.g. 1234:reset=0.05,fsync=0.02,fuel=40 (see internal/chaos)")
+	verbose := fs.Bool("v", false, "log debug detail")
+	quiet := fs.Bool("quiet", false, "log only errors and the final summary")
+	if err := daemon.Parse(fs, args); err != nil {
+		return daemon.Exit(stderr, err)
 	}
+
+	log := obs.NewLogger(stderr, "aggd", obs.LevelFromFlags(*verbose, *quiet))
+	reg := obs.NewRegistry()
+	acfg.Logf = log.Infof
+	acfg.Registry = reg
 	if *chaosSpec != "" {
 		inj, err := chaos.Parse(*chaosSpec)
 		if err != nil {
-			fail(err)
+			return daemon.Exit(stderr, err)
 		}
 		log.Infof("chaos: %s", inj)
 		acfg.WrapConn = inj.WrapConn("aggd.wire")
 		acfg.FS = inj.FS("aggd.state", chaos.OS)
 	}
-	agg, err := epochwire.NewAggregator(*listen, *ctl, acfg)
+	agg, err := epochwire.NewAggregator(*listen, *ctlAddr, acfg)
 	if err != nil {
-		fail(err)
+		return daemon.Exit(stderr, err)
 	}
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			fail(err)
+	defer agg.Stop()
+	closeMetrics, err := daemon.ServeMetrics(*metricsAddr, reg, log)
+	if err != nil {
+		return daemon.Exit(stderr, err)
+	}
+	defer closeMetrics()
+	say := func(format string, args ...any) {
+		if !*quiet {
+			fmt.Fprintf(stdout, format, args...)
 		}
-		defer msrv.Close()
-		log.Infof("metrics listening on http://%s/metrics", msrv.Addr())
 	}
-	if !*quiet {
-		fmt.Printf("aggd: listening on %s", agg.Addr())
-		if agg.CtlAddr() != "" {
-			fmt.Printf(" (ctl %s)", agg.CtlAddr())
-		}
-		fmt.Println()
+	listening := agg.Addr()
+	if agg.CtlAddr() != "" {
+		listening += " (ctl " + agg.CtlAddr() + ")"
 	}
+	say("aggd: listening on %s\n", listening)
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case <-agg.Done():
-		if !*quiet {
-			fmt.Println("aggd: all probes complete, draining")
-		}
-	case <-sigCh:
-		log.Errorf("signal received, draining (again to force quit)")
-		go func() {
-			<-sigCh
-			log.Errorf("forced quit")
-			os.Exit(1)
-		}()
+		say("aggd: all probes complete, draining\n")
+	case <-ctx.Done():
 	}
 	agg.Stop()
 	// The telemetry plane doubles as a shutdown oracle: applied bytes,
 	// the fold and its snapshot encoding must agree before this process
 	// may report success.
 	if err := agg.CheckConservation(); err != nil {
-		fail(err)
+		return daemon.Exit(stderr, err)
 	}
 	if *snapshot != "" {
 		if err := agg.WriteSnapshot(*snapshot); err != nil {
-			fail(err)
+			return daemon.Exit(stderr, err)
 		}
-		if !*quiet {
-			fmt.Printf("aggd: wrote aggregate snapshot to %s\n", *snapshot)
-		}
+		say("aggd: wrote aggregate snapshot to %s\n", *snapshot)
 	}
 	if *metricsDump != "" {
 		f, err := os.Create(*metricsDump)
 		if err != nil {
-			fail(err)
+			return daemon.Exit(stderr, err)
 		}
+		defer f.Close()
 		if err := reg.WriteJSON(f); err != nil {
-			fail(err)
+			return daemon.Exit(stderr, err)
 		}
 		if err := f.Close(); err != nil {
-			fail(err)
+			return daemon.Exit(stderr, err)
 		}
 	}
-	st := agg.StatusNow()
-	js, _ := json.Marshal(st)
-	fmt.Printf("aggd: %s\n", js)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	js, _ := json.Marshal(agg.StatusNow())
+	fmt.Fprintf(stdout, "aggd: %s\n", js)
+	return 0
 }

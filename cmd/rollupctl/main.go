@@ -21,19 +21,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
-	"os/signal"
 	"sort"
 	"strconv"
-	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/ctl"
+	"repro/internal/daemon"
 	"repro/internal/epochwire"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -42,44 +42,51 @@ import (
 )
 
 func main() {
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+	ctx := context.Background()
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		// The one subcommand that is a daemon drains on the first signal;
+		// the others keep the default die-on-SIGINT.
+		ctx = daemon.SignalContext("rollupctl")
 	}
-	var err error
-	switch cmd, rest := args[0], args[1:]; cmd {
-	case "info":
-		err = runInfo(rest)
-	case "verify":
-		err = runVerify(rest)
-	case "merge":
-		err = runMerge(rest)
-	case "window":
-		err = runWindow(rest)
-	case "query":
-		err = runQuery(rest)
-	case "serve":
-		err = runServe(rest)
-	case "upgrade":
-		err = runUpgrade(rest)
-	case "fetch":
-		err = runFetch(rest)
-	default:
-		fmt.Fprintf(os.Stderr, "rollupctl: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rollupctl:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage() {
-	fmt.Fprint(flag.CommandLine.Output(), `rollupctl: operate on rollup snapshots (the snapshot algebra)
+// commands maps a subcommand to its implementation; each parses its own
+// flags from args.
+var commands = map[string]func(ctx context.Context, args []string, stdout, stderr io.Writer) error{
+	"info":    runInfo,
+	"verify":  runVerify,
+	"merge":   runMerge,
+	"window":  runWindow,
+	"query":   runQuery,
+	"serve":   runServe,
+	"upgrade": runUpgrade,
+	"fetch":   runFetch,
+}
+
+// run dispatches one invocation and returns its exit code: 0 on
+// success (and -h), 1 when the command failed, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("rollupctl", usage, stderr)
+	err := daemon.Parse(fs, args)
+	if err == nil {
+		if cmd, ok := commands[fs.Arg(0)]; ok {
+			err = cmd(ctx, fs.Args()[1:], stdout, stderr)
+		} else {
+			if fs.NArg() > 0 {
+				fmt.Fprintf(stderr, "rollupctl: unknown command %q\n\n", fs.Arg(0))
+			}
+			fs.Usage()
+			err = daemon.ErrUsage
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("rollupctl: %w", err)
+	}
+	return daemon.Exit(stderr, err)
+}
+
+const usage = `rollupctl: operate on rollup snapshots (the snapshot algebra)
 
 Commands:
   info    [-json] file...              print grid, geography, totals and counters
@@ -111,8 +118,7 @@ Commands:
 
 Produce snapshots with probesim -snapshot (add -window A:B for one slice of the
 study week); analyze them with analyze -snapshot [-window A:B].
-`)
-}
+`
 
 // infoJSON is the machine-readable `info -json` shape: one object per
 // file, stable field names for CI assertions (the distributed smoke
@@ -131,9 +137,7 @@ type infoJSON struct {
 	} `json:"geo"`
 	Services      int `json:"services"`
 	FormatVersion int `json:"format_version"`
-	// Index summarizes a v2 footer index; it is built from the footer
-	// alone (header decode plus an index seek, no payload decode), so
-	// it is present even when the payload would fail its CRC.
+	// Index summarizes a v2 footer index.
 	Index           *indexJSON         `json:"index,omitempty"`
 	Epochs          int                `json:"epochs"`
 	Cells           int                `json:"cells"`
@@ -148,8 +152,8 @@ type infoJSON struct {
 		UnknownCell      int `json:"unknown_cell"`
 	} `json:"counters"`
 	// CRCOk is true only after the whole file decoded and its CRC
-	// trailer verified; a bad file emits {"file":..., "error":...}
-	// instead, and info exits 1.
+	// trailer (and a v2 footer index) verified; a bad file emits
+	// {"file":..., "error":...} instead, and info exits 1.
 	CRCOk bool `json:"crc_ok"`
 }
 
@@ -163,18 +167,12 @@ type indexJSON struct {
 	CommuneBitmaps int `json:"commune_bitmaps"`
 }
 
-// indexSummary reads a v2 file's footer index without decoding any
-// epoch payload. nil (no error) for v1 files.
-func indexSummary(path string) (*indexJSON, error) {
-	x, err := rollup.OpenIndexed(path)
-	if err != nil {
-		return nil, err
+// indexSummary condenses a v2 footer index; nil for a v1 file (no
+// entries).
+func indexSummary(entries []rollup.IndexEntry) *indexJSON {
+	if entries == nil {
+		return nil
 	}
-	defer x.Close()
-	if !x.Indexed() {
-		return nil, nil
-	}
-	entries := x.Entries()
 	ix := &indexJSON{Epochs: len(entries), FirstBin: rollup.OverflowBin, LastBin: rollup.OverflowBin}
 	for i := range entries {
 		en := &entries[i]
@@ -192,127 +190,98 @@ func indexSummary(path string) (*indexJSON, error) {
 			ix.CommuneBitmaps++
 		}
 	}
-	return ix, nil
+	return ix
 }
 
-// infoFileJSON streams one snapshot (the decoder verifies structure
-// and CRC as it goes) and prints its JSON object.
-func infoFileJSON(path string) error {
-	emit := func(v any) {
-		out, _ := json.Marshal(v)
-		fmt.Println(string(out))
+// summarize opens one snapshot (validating a v2 footer index) and scans
+// it end to end — structure and CRC verified as it goes — into its info
+// object; hdr is the decoded header the human rendering formats.
+func summarize(path string) (info *infoJSON, hdr *rollup.Partial, err error) {
+	x, err := rollup.OpenIndexed(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	f, err := os.Open(path)
-	if err == nil {
-		defer f.Close()
-		var dec *rollup.Decoder
-		if dec, err = rollup.NewDecoder(f); err == nil {
-			p := dec.Header()
-			var info infoJSON
-			info.File = path
-			info.Bins = p.Cfg.Bins
-			info.Step = p.Cfg.Step.String()
-			info.Start = p.Cfg.Start.Format(time.RFC3339)
-			info.Geo.Communes = p.Cfg.Geo.NumCommunes
-			info.Geo.Cities = p.Cfg.Geo.NumCities
-			info.Geo.Population = p.Cfg.Geo.Population
-			info.Geo.OperatorShare = p.Cfg.Geo.OperatorShare
-			info.Geo.Seed = p.Cfg.Geo.Seed
-			info.Services = len(p.Services)
-			info.FormatVersion = dec.Version()
-			info.Epochs = dec.EpochCount()
-			if dec.Version() >= rollup.SnapshotV2 {
-				// Footer-only read on a second handle; the sequential
-				// decode below is untouched.
-				if ix, ierr := indexSummary(path); ierr == nil {
-					info.Index = ix
-				}
-			}
-			info.TotalBytes = map[string]float64{
-				"dl": p.TotalBytes[services.DL], "ul": p.TotalBytes[services.UL]}
-			info.ClassifiedBytes = map[string]float64{
-				"dl": p.ClassifiedBytes[services.DL], "ul": p.ClassifiedBytes[services.UL]}
-			info.Counters.ControlMessages = p.Counters.ControlMessages
-			info.Counters.UserPlanePackets = p.Counters.UserPlanePackets
-			info.Counters.DecodeErrors = p.Counters.DecodeErrors
-			info.Counters.UnknownTEID = p.Counters.UnknownTEID
-			info.Counters.UnknownCell = p.Counters.UnknownCell
-			var buf []rollup.Cell
-			for {
-				var ep rollup.Epoch
-				var ok bool
-				if ep, ok, err = dec.Next(buf); err != nil || !ok {
-					break
-				}
-				info.Cells += len(ep.Cells)
-				if ep.Bin == rollup.OverflowBin {
-					info.OverflowCells = len(ep.Cells)
-				}
-				buf = ep.Cells
-			}
-			if err == nil {
-				info.CRCOk = true
-				emit(&info)
-				return nil
-			}
-		}
+	defer x.Close()
+	p := x.Header()
+	info = &infoJSON{
+		File: path, Bins: p.Cfg.Bins, Step: p.Cfg.Step.String(), Start: p.Cfg.Start.Format(time.RFC3339),
+		Services: len(p.Services), FormatVersion: x.Version(), Epochs: x.EpochCount(), Index: indexSummary(x.Entries()),
+		TotalBytes:      map[string]float64{"dl": p.TotalBytes[services.DL], "ul": p.TotalBytes[services.UL]},
+		ClassifiedBytes: map[string]float64{"dl": p.ClassifiedBytes[services.DL], "ul": p.ClassifiedBytes[services.UL]},
 	}
-	emit(map[string]string{"file": path, "error": err.Error()})
-	return fmt.Errorf("%s: %w", path, err)
-}
-
-func runInfo(args []string) error {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	asJSON := fs.Bool("json", false, "emit one machine-readable JSON object per file")
-	fs.Parse(args)
-	paths := fs.Args()
-	if len(paths) == 0 {
-		return fmt.Errorf("info: no snapshot files given")
-	}
-	if *asJSON {
-		for _, path := range paths {
-			if err := infoFileJSON(path); err != nil {
-				return err
-			}
+	info.Geo.Communes = p.Cfg.Geo.NumCommunes
+	info.Geo.Cities = p.Cfg.Geo.NumCities
+	info.Geo.Population = p.Cfg.Geo.Population
+	info.Geo.OperatorShare = p.Cfg.Geo.OperatorShare
+	info.Geo.Seed = p.Cfg.Geo.Seed
+	info.Counters.ControlMessages = p.Counters.ControlMessages
+	info.Counters.UserPlanePackets = p.Counters.UserPlanePackets
+	info.Counters.DecodeErrors = p.Counters.DecodeErrors
+	info.Counters.UnknownTEID = p.Counters.UnknownTEID
+	info.Counters.UnknownCell = p.Counters.UnknownCell
+	err = x.Scan(func(ep rollup.Epoch) error {
+		info.Cells += len(ep.Cells)
+		if ep.Bin == rollup.OverflowBin {
+			info.OverflowCells = len(ep.Cells)
 		}
 		return nil
+	})
+	info.CRCOk = err == nil
+	return info, p, err
+}
+
+func runInfo(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("info", "", stderr)
+	asJSON := fs.Bool("json", false, "emit one machine-readable JSON object per file")
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
 	}
-	for _, path := range paths {
-		p, err := rollup.ReadFile(path)
-		if err != nil {
+	if fs.NArg() == 0 {
+		return fmt.Errorf("info: no snapshot files given")
+	}
+	emit := func(v any) {
+		out, _ := json.Marshal(v)
+		fmt.Fprintln(stdout, string(out))
+	}
+	for _, path := range fs.Args() {
+		info, p, err := summarize(path)
+		switch {
+		case err != nil:
+			if *asJSON {
+				emit(map[string]string{"file": path, "error": err.Error()})
+			}
 			return err
-		}
-		cells := 0
-		for _, ep := range p.Epochs {
-			cells += len(ep.Cells)
+		case *asJSON:
+			emit(info)
+			continue
 		}
 		overflow := "no"
-		if len(p.Epochs) > 0 && p.Epochs[0].Bin == rollup.OverflowBin {
-			overflow = fmt.Sprintf("yes (%d cells)", len(p.Epochs[0].Cells))
+		if info.OverflowCells > 0 {
+			overflow = fmt.Sprintf("yes (%d cells)", info.OverflowCells)
 		}
 		format := "v1 (sequential only)"
-		if ix, ierr := indexSummary(path); ierr == nil && ix != nil {
+		if ix := info.Index; ix != nil {
 			format = fmt.Sprintf("v2 (footer index: %d epochs, %d service + %d commune bitmaps)",
 				ix.Epochs, ix.ServiceBitmaps, ix.CommuneBitmaps)
 		}
-		fmt.Printf("%s:\n", path)
-		fmt.Printf("  format     %s\n", format)
-		fmt.Printf("  grid       %d bins of %v from %v\n", p.Cfg.Bins, p.Cfg.Step, p.Cfg.Start.Format("2006-01-02 15:04:05 MST"))
-		fmt.Printf("  geography  %d communes, %d cities, population %d, operator share %.2f, seed %d\n",
+		fmt.Fprintf(stdout, "%s:\n", path)
+		fmt.Fprintf(stdout, "  format     %s\n", format)
+		fmt.Fprintf(stdout, "  grid       %d bins of %v from %v\n", p.Cfg.Bins, p.Cfg.Step, p.Cfg.Start.Format("2006-01-02 15:04:05 MST"))
+		fmt.Fprintf(stdout, "  geography  %d communes, %d cities, population %d, operator share %.2f, seed %d\n",
 			p.Cfg.Geo.NumCommunes, p.Cfg.Geo.NumCities, p.Cfg.Geo.Population, p.Cfg.Geo.OperatorShare, p.Cfg.Geo.Seed)
-		fmt.Printf("  data       %d services, %d epochs (overflow: %s), %d cells\n",
-			len(p.Services), len(p.Epochs), overflow, cells)
-		fmt.Printf("  volume     total DL %s UL %s, classified DL %s UL %s\n",
+		fmt.Fprintf(stdout, "  data       %d services, %d epochs (overflow: %s), %d cells\n",
+			len(p.Services), info.Epochs, overflow, info.Cells)
+		fmt.Fprintf(stdout, "  volume     total DL %s UL %s, classified DL %s UL %s\n",
 			report.Bytes(p.TotalBytes[services.DL]), report.Bytes(p.TotalBytes[services.UL]),
 			report.Bytes(p.ClassifiedBytes[services.DL]), report.Bytes(p.ClassifiedBytes[services.UL]))
-		fmt.Printf("  counters   %d control msgs, %d user-plane pkts, %d decode errors, %d unknown TEID, %d unknown cell\n",
+		fmt.Fprintf(stdout, "  counters   %d control msgs, %d user-plane pkts, %d decode errors, %d unknown TEID, %d unknown cell\n",
 			p.Counters.ControlMessages, p.Counters.UserPlanePackets,
 			p.Counters.DecodeErrors, p.Counters.UnknownTEID, p.Counters.UnknownCell)
 	}
 	return nil
 }
 
-func runVerify(paths []string) error {
+func runVerify(_ context.Context, paths []string, stdout, _ io.Writer) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("verify: no snapshot files given")
 	}
@@ -323,36 +292,29 @@ func runVerify(paths []string) error {
 		if err != nil {
 			return err
 		}
-		cellTotals := p.CellTotals()
-		for d := 0; d < services.NumDirections; d++ {
-			got, want := cellTotals[d], p.ClassifiedBytes[d]
-			// Both sums are exact integers below 2^53 (cell values are
-			// sums of integer packet lengths), so any difference there
-			// is corruption or a producer bug; beyond it allow last-bit
-			// float drift.
-			const exactLimit = float64(1 << 53)
-			if got != want &&
-				(got < exactLimit && want < exactLimit ||
-					math.Abs(got-want) > 1e-9*math.Max(got, want)) {
-				return fmt.Errorf("%s: cells sum to %.0f classified %v bytes, header records %.0f",
-					path, got, services.Direction(d), want)
-			}
+		if err := p.CheckTotals(); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		for d := range p.TotalBytes {
 			if p.TotalBytes[d] < p.ClassifiedBytes[d] {
 				return fmt.Errorf("%s: classified %v volume %.0f exceeds the total %.0f",
 					path, services.Direction(d), p.ClassifiedBytes[d], p.TotalBytes[d])
 			}
 		}
-		fmt.Printf("%s: ok (%d services, %d epochs, %s classified)\n",
+		cellTotals := p.CellTotals()
+		fmt.Fprintf(stdout, "%s: ok (%d services, %d epochs, %s classified)\n",
 			path, len(p.Services), len(p.Epochs),
 			report.Bytes(cellTotals[services.DL]+cellTotals[services.UL]))
 	}
 	return nil
 }
 
-func runMerge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
+func runMerge(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("merge", "", stderr)
 	out := fs.String("o", "", "output snapshot file (required)")
-	fs.Parse(args)
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("merge: -o output file is required")
 	}
@@ -363,32 +325,30 @@ func runMerge(args []string) error {
 	if err := rollup.MergeFiles(*out, srcs...); err != nil {
 		return err
 	}
-	// Summarize from the header alone: re-reading the whole file would
-	// materialize every epoch and defeat the merger's streaming memory
-	// bound on outputs bigger than RAM.
-	f, err := os.Open(*out)
+	// Summarize without decoding an epoch: re-reading the whole file
+	// would materialize every one and defeat the merger's streaming
+	// memory bound on outputs bigger than RAM.
+	x, err := rollup.OpenIndexed(*out)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	dec, err := rollup.NewDecoder(f)
-	if err != nil {
-		return err
-	}
-	p := dec.Header()
-	fmt.Printf("merged %d snapshots into %s: %d bins of %v from %v, %d services, %d epochs\n",
+	defer x.Close()
+	p := x.Header()
+	fmt.Fprintf(stdout, "merged %d snapshots into %s: %d bins of %v from %v, %d services, %d epochs\n",
 		len(srcs), *out, p.Cfg.Bins, p.Cfg.Step, p.Cfg.Start.Format("2006-01-02 15:04:05 MST"),
-		len(p.Services), dec.EpochCount())
+		len(p.Services), x.EpochCount())
 	return nil
 }
 
-func runWindow(args []string) error {
-	fs := flag.NewFlagSet("window", flag.ExitOnError)
+func runWindow(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("window", "", stderr)
 	from := fs.Int("from", -1, "first bin of the window (inclusive)")
 	to := fs.Int("to", -1, "end bin of the window (exclusive)")
 	day := fs.Int("day", -1, "calendar day to cut (day 0 starts at the grid start; overrides -from/-to)")
 	out := fs.String("o", "", "output snapshot file (required)")
-	fs.Parse(args)
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("window: -o output file is required")
 	}
@@ -414,7 +374,7 @@ func runWindow(args []string) error {
 	if err := rollup.WriteFile(*out, w); err != nil {
 		return err
 	}
-	fmt.Printf("wrote window of %s to %s: %d bins of %v from %v, %d services, %d epochs\n",
+	fmt.Fprintf(stdout, "wrote window of %s to %s: %d bins of %v from %v, %d services, %d epochs\n",
 		fs.Arg(0), *out, w.Cfg.Bins, w.Cfg.Step, w.Cfg.Start.Format("2006-01-02 15:04:05 MST"),
 		len(w.Services), len(w.Epochs))
 	return nil
@@ -424,38 +384,33 @@ func runWindow(args []string) error {
 // (snapshot files and/or directories of *.roll) open as one
 // rollup.Catalog, the view cuts out through the footer-index planner,
 // and the result lands as its own v2 snapshot.
-func runQuery(args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
+func runQuery(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("query", "", stderr)
 	window := fs.String("window", "", "bin window A:B on the store's union grid (default: all bins)")
 	svcList := fs.String("services", "", "comma-separated service names to keep (default: all)")
 	comList := fs.String("communes", "", "comma-separated commune ids to keep (default: all)")
 	stats := fs.Bool("stats", false, "emit the planner's stats JSON on stderr")
 	out := fs.String("o", "", "output snapshot file (required)")
-	fs.Parse(args)
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("query: -o output file is required")
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("query: no snapshot files or directories given")
 	}
-	var spec rollup.ViewSpec
-	var err error
-	if *window != "" {
-		if spec.From, spec.To, err = rollup.ParseBinRange(*window); err != nil {
-			return err
-		}
-	}
+	// The flags are the segments of the wire form of a view spec.
+	arg := *window
 	if *svcList != "" {
-		spec.Services = strings.Split(*svcList, ",")
+		arg += "|services=" + *svcList
 	}
 	if *comList != "" {
-		for _, c := range strings.Split(*comList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(c))
-			if err != nil {
-				return fmt.Errorf("query: commune %q is not an integer", c)
-			}
-			spec.Communes = append(spec.Communes, id)
-		}
+		arg += "|communes=" + *comList
+	}
+	spec, err := rollup.ParseViewSpec(arg)
+	if err != nil {
+		return err
 	}
 	c, err := catalog.Open(fs.Args()...)
 	if err != nil {
@@ -471,53 +426,51 @@ func runQuery(args []string) error {
 	}
 	if *stats {
 		js, _ := json.Marshal(st)
-		fmt.Fprintln(os.Stderr, string(js))
+		fmt.Fprintln(stderr, string(js))
 	}
-	fmt.Printf("wrote query %s over %d files to %s: %d bins, %d services, %d epochs (decoded %d of %d epochs, pruned %d files)\n",
+	fmt.Fprintf(stdout, "wrote query %s over %d files to %s: %d bins, %d services, %d epochs (decoded %d of %d epochs, pruned %d files)\n",
 		spec, st.Files, *out, part.Cfg.Bins, len(part.Services), len(part.Epochs),
 		st.EpochsDecoded, st.EpochsTotal, st.FilesPruned)
 	return nil
 }
 
-// runServe runs the store-backed ctl daemon until SIGINT/SIGTERM.
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	ctl := fs.String("ctl", "", "address to answer the ctl protocol on (required)")
+// runServe runs the store-backed ctl daemon until ctx is cancelled
+// (SIGINT/SIGTERM).
+func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("serve", "", stderr)
+	ctlAddr := fs.String("ctl", "", "address to answer the ctl protocol on (required)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address")
 	verbose := fs.Bool("v", false, "log debug detail")
 	quiet := fs.Bool("quiet", false, "log only errors")
-	fs.Parse(args)
-	if *ctl == "" {
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
+	}
+	if *ctlAddr == "" {
 		return fmt.Errorf("serve: -ctl listen address is required")
 	}
 	if fs.NArg() == 0 {
 		return fmt.Errorf("serve: no snapshot files or directories given")
 	}
-	log := obs.NewLogger(os.Stderr, "rollupctl", obs.LevelFromFlags(*verbose, *quiet))
-	s, err := catalog.NewServer(*ctl, nil, fs.Args()...)
+	log := obs.NewLogger(stderr, "rollupctl", obs.LevelFromFlags(*verbose, *quiet))
+	s, err := catalog.NewServer(*ctlAddr, nil, fs.Args()...)
 	if err != nil {
 		return err
 	}
-	if *metricsAddr != "" {
-		msrv, err := obs.Serve(*metricsAddr, s.Registry())
-		if err != nil {
-			s.Close()
-			return err
-		}
-		defer msrv.Close()
-		log.Infof("metrics listening on http://%s/metrics", msrv.Addr())
+	defer s.Close()
+	closeMetrics, err := daemon.ServeMetrics(*metricsAddr, s.Registry(), log)
+	if err != nil {
+		return err
 	}
+	defer closeMetrics()
 	log.Infof("serving %d paths on %s (status/snapshot/window/query/metrics; fetch with rollupctl fetch)",
 		fs.NArg(), s.Addr())
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	<-sigCh
-	return s.Close()
+	<-ctx.Done()
+	return nil
 }
 
 // runUpgrade rewrites a v1 snapshot as v2: identical payload bytes,
 // the footer index appended.
-func runUpgrade(args []string) error {
+func runUpgrade(_ context.Context, args []string, stdout, _ io.Writer) error {
 	if len(args) != 2 {
 		return fmt.Errorf("upgrade: usage: rollupctl upgrade src.roll dst.roll")
 	}
@@ -529,17 +482,17 @@ func runUpgrade(args []string) error {
 		return err
 	}
 	defer x.Close()
-	fmt.Printf("upgraded %s to %s: format v%d, %d epochs indexed\n",
+	fmt.Fprintf(stdout, "upgraded %s to %s: format v%d, %d epochs indexed\n",
 		args[0], args[1], x.Version(), x.EpochCount())
 	return nil
 }
 
-// runFetch speaks the aggd admin protocol: one line request, `ok <n>`
-// + n raw bytes back (a rollup snapshot, status JSON, or the metric
-// registry JSON).
-func runFetch(args []string) error {
-	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
-	from := fs.String("from", "", "aggd -ctl address (required)")
+// runFetch is the operator side of the internal/ctl protocol, against
+// aggd -ctl or rollupctl serve alike: one request, one reply (a rollup
+// snapshot, status JSON, or the metric registry JSON).
+func runFetch(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := daemon.NewFlagSet("fetch", "", stderr)
+	from := fs.String("from", "", "ctl address of a running aggd (-ctl) or rollupctl serve (required)")
 	window := fs.String("window", "", "fetch only bins A:B of the aggregate")
 	query := fs.String("query", "", "fetch a filtered view: A:B|services=a,b|communes=1,2 (\"all\" for the whole grid)")
 	status := fs.Bool("status", false, "fetch the aggregator's status (human table; -json for the raw JSON)")
@@ -548,106 +501,88 @@ func runFetch(args []string) error {
 	asJSON := fs.Bool("json", false, "with -status/-metrics: print the raw JSON instead of the human rendering")
 	out := fs.String("o", "", "output file (default: stdout for -status/-metrics, required otherwise)")
 	timeout := fs.Duration("timeout", 30*time.Second, "connect/read deadline")
-	fs.Parse(args)
+	if err := daemon.Parse(fs, args); err != nil {
+		return err
+	}
 	if *from == "" {
-		return fmt.Errorf("fetch: -from aggd ctl address is required")
+		return fmt.Errorf("fetch: -from ctl address is required")
 	}
-	picked := 0
-	for _, on := range []bool{*status, *metrics || *conserve, *window != "", *query != ""} {
-		if on {
-			picked++
-		}
+	var reqs []string
+	if *status {
+		reqs = append(reqs, "status")
 	}
-	if picked > 1 {
+	if *metrics || *conserve {
+		reqs = append(reqs, "metrics")
+	}
+	if *window != "" {
+		reqs = append(reqs, "window "+*window)
+	}
+	if *query != "" {
+		reqs = append(reqs, "query|"+*query)
+	}
+	if len(reqs) > 1 {
 		return fmt.Errorf("fetch: -status, -metrics/-conserve, -window and -query are mutually exclusive")
 	}
-	req := "snapshot\n"
-	textMode := false
-	switch {
-	case *status:
-		req, textMode = "status\n", true
-	case *metrics || *conserve:
-		req, textMode = "metrics\n", true
-	case *window != "":
-		req = "window " + *window + "\n"
-	case *query != "":
-		req = "query|" + *query + "\n"
+	req := "snapshot"
+	if len(reqs) == 1 {
+		req = reqs[0]
 	}
+	textMode := *status || *metrics || *conserve
 	if *out == "" && !textMode {
 		return fmt.Errorf("fetch: -o output file is required (snapshots are binary)")
 	}
-	client := &epochwire.CtlClient{Addr: *from, Timeout: *timeout}
+	client := &ctl.Client{Addr: *from, Timeout: *timeout}
 
-	if textMode {
-		body, err := client.Request(req)
-		if err != nil {
-			return fmt.Errorf("fetch: %w", err)
+	// The reply streams to -o, to memory for the text verbs' renderers,
+	// or (text verb with -o) both.
+	var body bytes.Buffer
+	w := io.Writer(&body)
+	var f *os.File
+	if *out != "" {
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			return err
 		}
-		n := int64(len(body))
-		if *out != "" {
-			if err := writeFileSync(*out, body); err != nil {
-				return err
-			}
-			fmt.Printf("fetched %d bytes from %s to %s\n", n, *from, *out)
-			if !*conserve {
-				return nil
-			}
+		defer f.Close()
+		w = f
+		if textMode {
+			w = io.MultiWriter(f, &body)
 		}
-		switch {
-		case *conserve:
-			return checkConserve(body)
-		case *asJSON || !*status && !*metrics:
-			if *out == "" {
-				os.Stdout.Write(body)
-				fmt.Println()
-			}
-		case *status:
-			return renderStatus(body)
-		default:
-			return renderMetrics(body)
-		}
-		return nil
 	}
-
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := client.Stream(req, f)
+	n, err := client.Stream(req, w)
 	if err != nil {
 		return fmt.Errorf("fetch: %w", err)
 	}
-	// A fetched snapshot is usually the input to the next pipeline
-	// stage; flush it so a crash right after "fetched" can't lie.
-	if err := f.Sync(); err != nil {
-		return err
+	if f != nil {
+		// A fetched file is usually the input to the next pipeline stage;
+		// flush it so a crash right after "fetched" can't lie.
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "fetched %d bytes from %s to %s\n", n, *from, *out)
+		if !*conserve {
+			return nil
+		}
 	}
-	fmt.Printf("fetched %d bytes from %s to %s\n", n, *from, *out)
-	return nil
-}
-
-// writeFileSync is os.WriteFile with an fsync before close, so the
-// success message never outruns the data.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+	switch {
+	case *conserve:
+		if err := epochwire.CheckScrapeConservation(body.Bytes(), stdout); err != nil {
+			return fmt.Errorf("fetch: %w", err)
+		}
+		return nil
+	case *asJSON:
+		fmt.Fprintf(stdout, "%s\n", body.Bytes())
+		return nil
+	case *status:
+		return renderStatus(body.Bytes(), stdout)
+	default:
+		return renderMetrics(body.Bytes(), stdout)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // renderStatus prints the aggregator's status JSON as a per-probe
 // table: cursor positions, frontier lag, cursor age, liveness.
-func renderStatus(body []byte) error {
+func renderStatus(body []byte, stdout io.Writer) error {
 	var st epochwire.Status
 	if err := json.Unmarshal(body, &st); err != nil {
 		return fmt.Errorf("fetch: undecodable status reply: %w", err)
@@ -656,7 +591,7 @@ func renderStatus(body []byte) error {
 	if st.Draining {
 		state = "draining"
 	}
-	fmt.Printf("%s: %d probes, sealed through bin %d\n", state, len(st.Probes), st.SealedThrough)
+	fmt.Fprintf(stdout, "%s: %d probes, sealed through bin %d\n", state, len(st.Probes), st.SealedThrough)
 	if len(st.Probes) == 0 {
 		return nil
 	}
@@ -680,16 +615,19 @@ func renderStatus(body []byte) error {
 			strconv.Itoa(p.Epochs), fin,
 		})
 	}
-	fmt.Println(report.Table(
+	fmt.Fprintln(stdout, report.Table(
 		[]string{"probe", "applied", "durable", "watermark", "lag", "age", "connected", "epochs", "state"}, rows))
 	return nil
 }
 
 // renderMetrics prints the registry JSON one metric per line, sorted;
-// histograms compress to count/sum.
-func renderMetrics(body []byte) error {
+// histograms compress to count/sum. Numbers print as the daemon wrote
+// them (json.Number), not through float64's exponent notation.
+func renderMetrics(body []byte, stdout io.Writer) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
 	var reg map[string]any
-	if err := json.Unmarshal(body, &reg); err != nil {
+	if err := dec.Decode(&reg); err != nil {
 		return fmt.Errorf("fetch: undecodable metrics reply: %w", err)
 	}
 	names := make([]string, 0, len(reg))
@@ -700,57 +638,10 @@ func renderMetrics(body []byte) error {
 	for _, name := range names {
 		switch v := reg[name].(type) {
 		case map[string]any:
-			fmt.Printf("%s count=%s sum=%s\n", name, fmtMetric(v["count"]), fmtMetric(v["sum"]))
+			fmt.Fprintf(stdout, "%s count=%v sum=%v\n", name, v["count"], v["sum"])
 		default:
-			fmt.Printf("%s %s\n", name, fmtMetric(v))
+			fmt.Fprintf(stdout, "%s %v\n", name, v)
 		}
-	}
-	return nil
-}
-
-// fmtMetric renders a decoded metric value without the exponent
-// notation %v gives large float64s (counters are integers).
-func fmtMetric(v any) string {
-	if f, ok := v.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return strconv.FormatFloat(f, 'f', 0, 64)
-	}
-	return fmt.Sprintf("%v", v)
-}
-
-// checkConserve asserts the aggregator's conservation invariant from a
-// metrics scrape: the applied-bytes gauges (what the live probe
-// streams delivered) must equal the fold's cell totals, per direction.
-// Holding mid-run, not just at drain, is the point: resets and
-// retransmits may never leave the fold out of step with the telemetry.
-func checkConserve(body []byte) error {
-	var reg map[string]float64
-	if err := json.Unmarshal(body, &reg); err != nil {
-		// Histograms decode as objects, not numbers; a generic decode
-		// keeps only the scalar metrics we need.
-		var raw map[string]any
-		if jerr := json.Unmarshal(body, &raw); jerr != nil {
-			return fmt.Errorf("fetch: undecodable metrics reply: %w", jerr)
-		}
-		reg = make(map[string]float64, len(raw))
-		for k, v := range raw {
-			if f, ok := v.(float64); ok {
-				reg[k] = f
-			}
-		}
-	}
-	for _, dir := range []string{"dl", "ul"} {
-		applied, okA := reg[`aggd_applied_cell_bytes{dir="`+dir+`"}`]
-		fold, okF := reg[`aggd_fold_cell_bytes{dir="`+dir+`"}`]
-		if !okA || !okF {
-			return fmt.Errorf("fetch: metrics reply lacks the aggd conservation gauges (not an aggd endpoint?)")
-		}
-		if fold == -1 && applied == 0 {
-			continue // nothing aggregated yet: trivially conserved
-		}
-		if applied != fold {
-			return fmt.Errorf("fetch: conservation violated: applied %.0f %s cell bytes but the fold holds %.0f", applied, dir, fold)
-		}
-		fmt.Printf("conservation ok (%s): applied == fold == %.0f cell bytes\n", dir, applied)
 	}
 	return nil
 }

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/daemon"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/report"
@@ -135,10 +136,7 @@ the essentials for CI use.
 func record(path string, sessions int, seed uint64, quiet bool) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
-	cfg := gtpsim.DefaultConfig()
-	cfg.Sessions = sessions
-	cfg.Seed = seed
-	sim, err := gtpsim.New(country, catalog, cfg)
+	sim, err := gtpsim.New(country, catalog, daemon.SimConfig(sessions, seed, 0, daemon.WeekBins))
 	if err != nil {
 		fail(err)
 	}

@@ -14,9 +14,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
@@ -24,31 +24,23 @@ import (
 	"repro/internal/report"
 	"repro/internal/rollup"
 	"repro/internal/services"
-	"repro/internal/timeseries"
 )
 
 func main() {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
-	weekBins := int(timeseries.Week / timeseries.DefaultStep)
-	half := weekBins / 2
+	half := daemon.WeekBins / 2
 
 	// One collection unit: simulate sessions starting inside the
 	// window, measure them on the window's sub-grid (plus slack for
 	// session tails), seal the rollup.
 	collect := func(winFrom, winTo int) *rollup.Partial {
-		cfg := gtpsim.DefaultConfig()
-		cfg.Sessions = 400
-		cfg.Seed = 11 // shared seed: both halves see one cell registry
-		cfg.Start = timeseries.StudyStart.Add(time.Duration(winFrom) * timeseries.DefaultStep)
-		cfg.Duration = time.Duration(winTo-winFrom) * timeseries.DefaultStep
-		sim, err := gtpsim.New(country, catalog, cfg)
+		// Seed 11 is shared: both halves see one cell registry.
+		sim, err := gtpsim.New(country, catalog, daemon.SimConfig(400, 11, winFrom, winTo))
 		if err != nil {
 			log.Fatal(err)
 		}
-		pcfg := probe.ConfigFor(country)
-		pcfg.Start = cfg.Start
-		pcfg.Bins = min(winTo-winFrom+3, weekBins-winFrom)
+		pcfg := daemon.ProbeConfig(country, winFrom, winTo)
 		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)
 		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
 		rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())
@@ -64,7 +56,7 @@ func main() {
 
 	fmt.Println("Collecting two independent half-week captures...")
 	first := collect(0, half)
-	second := collect(half, weekBins)
+	second := collect(half, daemon.WeekBins)
 	fmt.Printf("  first half:  %d epochs on a %d-bin grid\n", len(first.Epochs), first.Cfg.Bins)
 	fmt.Printf("  second half: %d epochs on a %d-bin grid\n", len(second.Epochs), second.Cfg.Bins)
 

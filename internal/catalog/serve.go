@@ -1,27 +1,21 @@
 package catalog
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/ctl"
 	"repro/internal/obs"
 	"repro/internal/rollup"
 )
 
-// Server answers the same one-line ctl protocol cmd/aggd speaks —
-// "status", "snapshot", "window A:B", "query|<spec>", "metrics" →
-// "ok <n>\n" plus n body bytes, or "err <msg>\n" — but over an on-disk
-// store instead
-// of a live fold, so rollupctl fetch works unchanged against either.
+// Server answers the internal/ctl protocol — the one cmd/aggd speaks
+// over its live fold — from an on-disk store instead, so rollupctl
+// fetch works unchanged against either.
 //
 // The store is re-scanned before each request: when the member set (or
 // any member's size or mtime) changed, the catalog reopens, so a
@@ -30,7 +24,7 @@ import (
 // query reads them otherwise. A query daemon over occasional analyst
 // fetches trades no real throughput for that simplicity.
 type Server struct {
-	ln      net.Listener
+	ctl     *ctl.Server
 	roots   []string
 	reg     *obs.Registry
 	metrics *Metrics
@@ -38,7 +32,6 @@ type Server struct {
 	mu  sync.Mutex
 	sig string
 	cat *Catalog
-	wg  sync.WaitGroup
 }
 
 // NewServer opens the store (failing fast on an unreadable or
@@ -53,19 +46,16 @@ func NewServer(addr string, reg *obs.Registry, roots ...string) (*Server, error)
 	if err := s.refreshLocked(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	var err error
+	if s.ctl, err = ctl.Serve(addr, s, reg); err != nil {
 		s.cat.Close()
 		return nil, err
 	}
-	s.ln = ln
-	s.wg.Add(1)
-	go s.loop()
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ctl.Addr() }
 
 // Registry returns the server's metric registry (never nil) for the
 // -metrics HTTP listener.
@@ -74,8 +64,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Close stops accepting, waits out in-flight requests, and releases
 // the store.
 func (s *Server) Close() error {
-	err := s.ln.Close()
-	s.wg.Wait()
+	err := s.ctl.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cat != nil {
@@ -85,59 +74,34 @@ func (s *Server) Close() error {
 	return err
 }
 
-func (s *Server) loop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
-}
-
-// signature fingerprints the member set: path, size and mtime of every
-// file the roots currently resolve to.
-func (s *Server) signature() (string, error) {
+// refreshLocked reopens the catalog when the store changed on disk:
+// the fingerprint is path, size and mtime of every file the roots
+// currently resolve to. Callers hold s.mu (or, in NewServer, exclusive
+// ownership).
+func (s *Server) refreshLocked() error {
 	members, err := expand(s.roots)
 	if err != nil {
-		return "", err
+		return err
 	}
 	var b strings.Builder
 	for _, p := range members {
 		fi, err := os.Stat(p)
 		if err != nil {
-			return "", err
+			return err
 		}
 		fmt.Fprintf(&b, "%s\x00%d\x00%d\n", p, fi.Size(), fi.ModTime().UnixNano())
 	}
-	return b.String(), nil
-}
-
-// refreshLocked reopens the catalog when the store changed on disk.
-// Callers hold s.mu (or, in NewServer, exclusive ownership).
-func (s *Server) refreshLocked() error {
-	sig, err := s.signature()
-	if err != nil {
-		return err
+	if sig := b.String(); sig != s.sig || s.cat == nil {
+		cat, err := Open(s.roots...)
+		if err != nil {
+			return err
+		}
+		if s.cat != nil {
+			s.cat.Close()
+		}
+		s.cat, s.sig = cat, sig
+		s.metrics.Refreshes.Inc()
 	}
-	if sig == s.sig && s.cat != nil {
-		return nil
-	}
-	cat, err := Open(s.roots...)
-	if err != nil {
-		return err
-	}
-	if s.cat != nil {
-		s.cat.Close()
-	}
-	s.cat, s.sig = cat, sig
-	s.metrics.Refreshes.Inc()
 	return nil
 }
 
@@ -152,82 +116,34 @@ type status struct {
 	Services int      `json:"services"`
 }
 
-func (s *Server) handle(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(time.Minute))
-	line, err := bufio.NewReader(io.LimitReader(conn, 4096)).ReadString('\n')
-	if err != nil {
-		return
-	}
-	line = strings.TrimSpace(line)
-
+// Status implements ctl.Backend over the store as it is on disk now.
+func (s *Server) Status() (any, error) {
 	s.mu.Lock()
-	body, err := s.answerLocked(line)
-	s.mu.Unlock()
-	if err != nil {
-		fmt.Fprintf(conn, "err %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-		return
-	}
-	fmt.Fprintf(conn, "ok %d\n", len(body))
-	conn.Write(body)
-}
-
-func (s *Server) answerLocked(line string) ([]byte, error) {
+	defer s.mu.Unlock()
 	if err := s.refreshLocked(); err != nil {
 		return nil, err
 	}
 	c := s.cat
-	switch {
-	case line == "status":
-		return json.Marshal(status{
-			Files:    c.Paths(),
-			Epochs:   c.EpochCount(),
-			Bins:     c.cfg.Bins,
-			Start:    c.cfg.Start.UTC().Format(time.RFC3339),
-			StepSecs: c.cfg.Step.Seconds(),
-			Services: len(c.svcs),
-		})
-	case line == "snapshot":
-		// Full fidelity, not a view: the reply is the store's members
-		// streamed through MergeFiles — counters, totals and the
-		// overflow epoch intact, byte-identical to merging by hand.
-		return s.mergedSnapshotLocked()
-	case line == "query" || strings.HasPrefix(line, "query|") || strings.HasPrefix(line, "window"):
-		var spec rollup.ViewSpec
-		var err error
-		if arg, ok := strings.CutPrefix(line, "query|"); ok {
-			spec, err = rollup.ParseViewSpec(arg)
-		} else if arg, ok := strings.CutPrefix(line, "window"); ok && strings.TrimSpace(arg) != "" {
-			spec.From, spec.To, err = rollup.ParseBinRange(strings.TrimSpace(arg))
-		} else if line != "query" {
-			err = fmt.Errorf("usage: window A:B")
-		}
-		if err != nil {
-			return nil, err
-		}
-		part, qst, err := c.Query(spec)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.observe(qst)
-		var buf bytes.Buffer
-		if err := rollup.WriteV2(&buf, part); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	case line == "metrics":
-		var buf bytes.Buffer
-		if err := s.reg.WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	default:
-		return nil, fmt.Errorf("unknown command %q", line)
-	}
+	return status{
+		Files:    c.Paths(),
+		Epochs:   c.EpochCount(),
+		Bins:     c.cfg.Bins,
+		Start:    c.cfg.Start.UTC().Format(time.RFC3339),
+		StepSecs: c.cfg.Step.Seconds(),
+		Services: len(c.svcs),
+	}, nil
 }
 
-// mergedSnapshotLocked streams the member files through the bounded-
-// memory merger into a scratch file and returns its bytes.
-func (s *Server) mergedSnapshotLocked() ([]byte, error) {
+// Snapshot implements ctl.Backend. Full fidelity, not a view: the
+// store's members streamed through the bounded-memory merger into a
+// scratch file — counters, totals and the overflow epoch intact,
+// byte-identical to merging by hand.
+func (s *Server) Snapshot() ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.refreshLocked(); err != nil {
+		return nil, err
+	}
 	dir, err := os.MkdirTemp("", "catalog-snap")
 	if err != nil {
 		return nil, err
@@ -238,4 +154,20 @@ func (s *Server) mergedSnapshotLocked() ([]byte, error) {
 		return nil, err
 	}
 	return os.ReadFile(dst)
+}
+
+// View implements ctl.Backend through the footer-index planner,
+// feeding its accounting to the catalog_* metrics.
+func (s *Server) View(spec rollup.ViewSpec) (*rollup.Partial, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.refreshLocked(); err != nil {
+		return nil, err
+	}
+	part, qst, err := s.cat.Query(spec)
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.observe(qst)
+	return part, nil
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"net"
 	"os"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -73,38 +74,46 @@ func (in *Injector) conn(st *siteState, c net.Conn) net.Conn {
 // faultConn injects reset, stall, short-write and byte-corruption
 // faults around a real net.Conn. Deadlines are recorded so stall
 // faults can sleep just past them instead of hanging a test for the
-// full production timeout.
+// full production timeout — atomically, since a net.Conn lets another
+// goroutine move a deadline under a blocked Read or Write.
 type faultConn struct {
 	net.Conn
 	in *Injector
 	st *siteState
 
-	rdDeadline time.Time
-	wrDeadline time.Time
+	rdDeadline, wrDeadline atomic.Int64 // UnixNano; 0 = none
+}
+
+func unixNano(t time.Time) int64 {
+	if t.IsZero() {
+		return 0
+	}
+	return t.UnixNano()
 }
 
 func (c *faultConn) SetDeadline(t time.Time) error {
-	c.rdDeadline, c.wrDeadline = t, t
+	c.rdDeadline.Store(unixNano(t))
+	c.wrDeadline.Store(unixNano(t))
 	return c.Conn.SetDeadline(t)
 }
 
 func (c *faultConn) SetReadDeadline(t time.Time) error {
-	c.rdDeadline = t
+	c.rdDeadline.Store(unixNano(t))
 	return c.Conn.SetReadDeadline(t)
 }
 
 func (c *faultConn) SetWriteDeadline(t time.Time) error {
-	c.wrDeadline = t
+	c.wrDeadline.Store(unixNano(t))
 	return c.Conn.SetWriteDeadline(t)
 }
 
 // stall sleeps up to the schedule's stall cap — or just past the
 // recorded deadline if that is sooner — and reports the same timeout
 // error a genuinely hung peer would produce.
-func (c *faultConn) stall(deadline time.Time) error {
+func (c *faultConn) stall(deadline *atomic.Int64) error {
 	d := c.in.spec.Stall
-	if !deadline.IsZero() {
-		if until := time.Until(deadline) + 10*time.Millisecond; until < d {
+	if ns := deadline.Load(); ns != 0 {
+		if until := time.Until(time.Unix(0, ns)) + 10*time.Millisecond; until < d {
 			d = until
 		}
 	}
@@ -121,7 +130,7 @@ func (c *faultConn) reset(op string) error {
 
 func (c *faultConn) Read(p []byte) (int, error) {
 	if c.in.fire(c.st, FaultStallRead) {
-		return 0, c.stall(c.rdDeadline)
+		return 0, c.stall(&c.rdDeadline)
 	}
 	if c.in.fire(c.st, FaultReset) {
 		return 0, c.reset("read")
@@ -131,7 +140,7 @@ func (c *faultConn) Read(p []byte) (int, error) {
 
 func (c *faultConn) Write(p []byte) (int, error) {
 	if c.in.fire(c.st, FaultStallWrite) {
-		return 0, c.stall(c.wrDeadline)
+		return 0, c.stall(&c.wrDeadline)
 	}
 	if c.in.fire(c.st, FaultReset) {
 		return 0, c.reset("write")

@@ -3,7 +3,7 @@ package epochwire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,10 +14,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/capture"
 	"repro/internal/chaos"
+	"repro/internal/ctl"
 	"repro/internal/obs"
 	"repro/internal/rollup"
 	"repro/internal/services"
@@ -80,7 +82,7 @@ type probeState struct {
 type Aggregator struct {
 	cfg     AggConfig
 	ln      net.Listener
-	ctl     net.Listener
+	ctl     *ctl.Server // nil without a ctl address
 	reg     *obs.Registry
 	metrics *AggMetrics
 
@@ -104,14 +106,15 @@ type Aggregator struct {
 	stateBuf, partBuf bytes.Buffer
 
 	done     chan struct{} // closed when Probes distinct probes have fin'd
+	stopping atomic.Bool   // set by Stop before it interrupts the handlers' reads
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
 // NewAggregator binds addr, loads the state file if one exists, and
 // starts accepting probes. ctlAddr, when non-empty, serves the
-// line-oriented admin protocol (snapshot/window/status) on a second
-// listener.
+// internal/ctl admin protocol (status, snapshot, query, window,
+// metrics) over the live fold on a second listener.
 func NewAggregator(addr, ctlAddr string, cfg AggConfig) (*Aggregator, error) {
 	if cfg.PersistEvery <= 0 {
 		cfg.PersistEvery = 16
@@ -147,14 +150,10 @@ func NewAggregator(addr, ctlAddr string, cfg AggConfig) (*Aggregator, error) {
 	}
 	a.ln = ln
 	if ctlAddr != "" {
-		ctl, err := net.Listen("tcp", ctlAddr)
-		if err != nil {
+		if a.ctl, err = ctl.Serve(ctlAddr, ctlBackend{a}, a.reg); err != nil {
 			ln.Close()
 			return nil, err
 		}
-		a.ctl = ctl
-		a.wg.Add(1)
-		go a.acceptCtl()
 	}
 	a.mu.Lock()
 	a.checkDrain()
@@ -172,25 +171,30 @@ func (a *Aggregator) CtlAddr() string {
 	if a.ctl == nil {
 		return ""
 	}
-	return a.ctl.Addr().String()
+	return a.ctl.Addr()
 }
 
 // Done is closed once Probes distinct probes have completed their
 // runs (their FINs are durable).
 func (a *Aggregator) Done() <-chan struct{} { return a.done }
 
-// Stop closes the listeners and live connections, persists state, and
-// waits for connection handlers to exit. Safe to call more than once.
+// Stop closes the listeners, ends the probe connections (each after
+// the reply it may be writing), persists state, and waits for the
+// handlers to exit. Safe to call more than once.
 func (a *Aggregator) Stop() {
 	a.stopOnce.Do(func() {
 		a.ln.Close()
 		if a.ctl != nil {
 			a.ctl.Close()
 		}
+		a.stopping.Store(true)
 		a.mu.Lock()
 		for _, ps := range a.probes {
 			if ps.conn != nil {
-				ps.conn.Close()
+				// Interrupt the handler's read, never its write: the last
+				// fin's ack, whose persist closed Done and brought the caller
+				// here, still reaches its probe. The handler closes the conn.
+				ps.conn.SetReadDeadline(time.Now())
 			}
 		}
 		a.persistLocked()
@@ -312,8 +316,16 @@ func (a *Aggregator) serve(conn net.Conn) error {
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(a.cfg.IdleTimeout))
+		// Checked after arming the deadline: Stop sets the flag before it
+		// interrupts reads, so one of the two always ends this loop.
+		if a.stopping.Load() {
+			return net.ErrClosed
+		}
 		m, err := ReadMessage(br)
 		if err != nil {
+			if a.stopping.Load() {
+				return net.ErrClosed
+			}
 			return err
 		}
 		switch m.Type {
@@ -695,91 +707,28 @@ func (a *Aggregator) CheckConservation() error {
 }
 
 // --- admin (ctl) socket -------------------------------------------------
-//
-// Line-oriented request/response for operators and rollupctl fetch:
-//
-//	snapshot\n         → ok <n>\n + n bytes of rollup snapshot
-//	window <A:B>\n     → ok <n>\n + n bytes of the windowed snapshot
-//	status\n           → ok <n>\n + n bytes of JSON Status
-//	metrics\n          → ok <n>\n + n bytes of the registry's JSON
-//
-// Errors answer err <message>\n. One request per connection.
 
-func (a *Aggregator) acceptCtl() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.ctl.Accept()
-		if err != nil {
-			return
-		}
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(a.cfg.IdleTimeout))
-			a.serveCtl(conn)
-		}()
-	}
+// ctlBackend answers internal/ctl's protocol from the live fold. Every
+// method takes a.mu only to fetch memoized state — immutable once built
+// — and does the rest outside it, so a slow query never stalls ingest.
+type ctlBackend struct{ a *Aggregator }
+
+func (b ctlBackend) Status() (any, error) { return b.a.StatusNow(), nil }
+
+func (b ctlBackend) Snapshot() ([]byte, error) {
+	b.a.mu.Lock()
+	defer b.a.mu.Unlock()
+	return b.a.snapshotBytesLocked()
 }
 
-func (a *Aggregator) serveCtl(conn net.Conn) {
-	// 4 KiB admits a query line naming dozens of services; anything
-	// longer is abuse, not a query.
-	line, err := bufio.NewReader(io.LimitReader(conn, 4096)).ReadString('\n')
+func (b ctlBackend) View(spec rollup.ViewSpec) (*rollup.Partial, error) {
+	b.a.mu.Lock()
+	part, err := b.a.foldCachedLocked()
+	b.a.mu.Unlock()
 	if err != nil {
-		return
+		return nil, err
 	}
-	line = strings.TrimSpace(line)
-	var body []byte
-	switch {
-	case line == "snapshot":
-		a.mu.Lock()
-		body, err = a.snapshotBytesLocked()
-		a.mu.Unlock()
-	case line == "status":
-		body, err = json.Marshal(a.StatusNow())
-	case line == "metrics":
-		var buf bytes.Buffer
-		if err = a.reg.WriteJSON(&buf); err == nil {
-			body = buf.Bytes()
-		}
-	case line == "query" || strings.HasPrefix(line, "query|") || strings.HasPrefix(line, "window"):
-		// window A:B is the historical spelling of query|A:B; query adds
-		// service/commune filters ("|"-separated, since service names
-		// contain spaces). Both slice the memoized fold — immutable once
-		// built — outside the lock, so a slow query never stalls ingest.
-		var spec rollup.ViewSpec
-		if arg, ok := strings.CutPrefix(line, "query|"); ok {
-			spec, err = rollup.ParseViewSpec(arg)
-		} else if arg, ok := strings.CutPrefix(line, "window"); ok && strings.TrimSpace(arg) != "" {
-			spec.From, spec.To, err = rollup.ParseBinRange(strings.TrimSpace(arg))
-		} else if line != "query" {
-			err = fmt.Errorf("usage: window A:B")
-		}
-		if err == nil {
-			var part *rollup.Partial
-			a.mu.Lock()
-			part, err = a.foldCachedLocked()
-			a.mu.Unlock()
-			if err == nil {
-				var view *rollup.Partial
-				if view, err = spec.Apply(part); err == nil {
-					var buf bytes.Buffer
-					if err = rollup.WriteV2(&buf, view); err == nil {
-						body = buf.Bytes()
-					}
-				}
-			}
-		}
-	default:
-		err = fmt.Errorf("unknown command %q", line)
-	}
-	if err != nil {
-		fmt.Fprintf(conn, "err %s\n", strings.ReplaceAll(err.Error(), "\n", " "))
-		return
-	}
-	fmt.Fprintf(conn, "ok %d\n", len(body))
-	conn.Write(body)
+	return spec.Apply(part)
 }
 
 // --- state persistence --------------------------------------------------
@@ -839,7 +788,7 @@ func (a *Aggregator) persistLocked() error {
 			return err
 		}
 		var i64 [8]byte
-		putUint64(i64[:], ps.incarnation)
+		binary.BigEndian.PutUint64(i64[:], ps.incarnation)
 		buf.Write(i64[:])
 		if err := capture.WriteUvarint(buf, ps.applied); err != nil {
 			return err
@@ -875,7 +824,7 @@ func (a *Aggregator) persistLocked() error {
 		}
 	}
 	var crc [4]byte
-	putUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(crc[:])
 	if err := atomicWrite(a.cfg.FS, a.cfg.StatePath, buf.Bytes()); err != nil {
 		return err
@@ -901,7 +850,7 @@ func (a *Aggregator) loadState() error {
 	}
 	body, crc := raw[:len(raw)-4], raw[len(raw)-4:]
 	sum := crc32.ChecksumIEEE(body)
-	if got := uint32(crc[0])<<24 | uint32(crc[1])<<16 | uint32(crc[2])<<8 | uint32(crc[3]); got != sum {
+	if binary.BigEndian.Uint32(crc) != sum {
 		return fmt.Errorf("epochwire: state file %s CRC mismatch", a.cfg.StatePath)
 	}
 	r := bufio.NewReader(bytes.NewReader(body))
@@ -947,7 +896,7 @@ func (a *Aggregator) loadState() error {
 		if err := capture.ReadFull(r, i64[:], "state incarnation"); err != nil {
 			return err
 		}
-		ps.incarnation = getUint64(i64[:])
+		ps.incarnation = binary.BigEndian.Uint64(i64[:])
 		if ps.applied, err = capture.ReadUvarint(r, ^uint64(0)>>1, "state applied"); err != nil {
 			return err
 		}

@@ -1,123 +1,7 @@
 package epochwire
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"net"
-	"strings"
-	"time"
-)
+import "repro/internal/ctl"
 
-// CtlClient speaks the aggregator's line-oriented admin protocol (one
-// request per connection, `ok <n>` + n raw bytes back) with the
-// timeout discipline an operator tool needs: the dial, the request
-// write, and every read carry a deadline, so a hung or half-dead
-// daemon yields a clear timeout error instead of hanging the terminal.
-type CtlClient struct {
-	// Addr is the daemon's ctl address.
-	Addr string
-	// Timeout bounds the dial and each subsequent I/O step (default
-	// 30s). Body reads refresh the deadline per chunk, so a large
-	// snapshot on a slow link is fine as long as bytes keep arriving.
-	Timeout time.Duration
-	// Dial, when set, replaces the default TCP dialer — the chaos seam,
-	// and the reason the stall test can exercise the deadlines.
-	Dial func(network, addr string) (net.Conn, error)
-}
-
-func (c *CtlClient) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 30 * time.Second
-}
-
-// Request sends one command line and returns the whole reply body in
-// memory — the right shape for status/metrics JSON and small views.
-func (c *CtlClient) Request(req string) ([]byte, error) {
-	var body []byte
-	_, err := c.do(req, func(br *bufio.Reader, conn net.Conn, n int64) error {
-		body = make([]byte, n)
-		return c.readFull(br, conn, body)
-	})
-	return body, err
-}
-
-// Stream sends one command line and copies the reply body to w —
-// the right shape for snapshot fetches that should not be buffered.
-// Returns the body length the daemon declared.
-func (c *CtlClient) Stream(req string, w io.Writer) (int64, error) {
-	return c.do(req, func(br *bufio.Reader, conn net.Conn, n int64) error {
-		var copied int64
-		for copied < n {
-			chunk := n - copied
-			if chunk > 1<<20 {
-				chunk = 1 << 20
-			}
-			conn.SetDeadline(time.Now().Add(c.timeout()))
-			m, err := io.CopyN(w, br, chunk)
-			copied += m
-			if err != nil {
-				return fmt.Errorf("epochwire: ctl reply truncated at %d of %d bytes: %w", copied, n, err)
-			}
-		}
-		return nil
-	})
-}
-
-// do dials, sends req (newline appended if missing), parses the `ok
-// <n>` header, and hands the body to read.
-func (c *CtlClient) do(req string, read func(br *bufio.Reader, conn net.Conn, n int64) error) (int64, error) {
-	dial := c.Dial
-	if dial == nil {
-		d := &net.Dialer{Timeout: c.timeout()}
-		dial = d.Dial
-	}
-	conn, err := dial("tcp", c.Addr)
-	if err != nil {
-		return 0, fmt.Errorf("epochwire: dialing ctl %s: %w", c.Addr, err)
-	}
-	defer conn.Close()
-	if !strings.HasSuffix(req, "\n") {
-		req += "\n"
-	}
-	conn.SetDeadline(time.Now().Add(c.timeout()))
-	if _, err := io.WriteString(conn, req); err != nil {
-		return 0, fmt.Errorf("epochwire: sending ctl request to %s: %w", c.Addr, err)
-	}
-	br := bufio.NewReader(conn)
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return 0, fmt.Errorf("epochwire: reading ctl reply header from %s: %w", c.Addr, err)
-	}
-	line = strings.TrimSuffix(line, "\n")
-	if reason, ok := strings.CutPrefix(line, "err "); ok {
-		return 0, fmt.Errorf("epochwire: ctl %s: %s", c.Addr, reason)
-	}
-	var n int64
-	if _, err := fmt.Sscanf(line, "ok %d", &n); err != nil || n < 0 {
-		return 0, fmt.Errorf("epochwire: ctl %s answered %q", c.Addr, line)
-	}
-	if err := read(br, conn, n); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-// readFull fills p from br, refreshing the conn deadline per chunk.
-func (c *CtlClient) readFull(br *bufio.Reader, conn net.Conn, p []byte) error {
-	for off := 0; off < len(p); {
-		end := off + 1<<20
-		if end > len(p) {
-			end = len(p)
-		}
-		conn.SetDeadline(time.Now().Add(c.timeout()))
-		n, err := io.ReadFull(br, p[off:end])
-		off += n
-		if err != nil {
-			return fmt.Errorf("epochwire: ctl reply truncated at %d of %d bytes: %w", off, len(p), err)
-		}
-	}
-	return nil
-}
+// CtlClient is ctl.Client under the name bench/store.go, frozen for the
+// PR that moved it, still uses; the next benchmark PR deletes this line.
+type CtlClient = ctl.Client

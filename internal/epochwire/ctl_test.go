@@ -1,69 +1,14 @@
 package epochwire
 
 import (
-	"bufio"
 	"bytes"
-	"errors"
-	"net"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/ctl"
 	"repro/internal/leakcheck"
 )
-
-// TestCtlClientStallTimesOut pins the operator-tool timeout story: a
-// daemon that accepts the connection and then goes silent must cost the
-// client its own Timeout, not the 10-second stall the peer is capable
-// of — the client sets a deadline on every read, so the error is a
-// deadline exceeded, and it arrives fast.
-func TestCtlClientStallTimesOut(t *testing.T) {
-	leakcheck.Check(t)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	release := make(chan struct{})
-	t.Cleanup(func() {
-		ln.Close()
-		close(release)
-		<-done
-	})
-	go func() {
-		defer close(done)
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		bufio.NewReader(c).ReadString('\n') // take the request, answer nothing
-		<-release
-	}()
-
-	spec := chaos.Spec{Seed: 7, Stall: 10 * time.Second}
-	spec.Prob[chaos.FaultStallRead] = 1
-	in := spec.Injector()
-	client := &CtlClient{
-		Addr:    ln.Addr().String(),
-		Timeout: 100 * time.Millisecond,
-		Dial:    in.Dial("ctl", net.Dial),
-	}
-	start := time.Now()
-	_, err = client.Request("status")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("Request against a stalled daemon returned nil")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Errorf("stalled read should surface a deadline error, got: %v", err)
-	}
-	if elapsed > 2*time.Second {
-		t.Errorf("timing out took %v; the client's 100ms deadline should have cut the 10s stall", elapsed)
-	}
-}
 
 // TestCtlClientAgainstAggregator drives the same client through the
 // aggregator's real ctl listener: status JSON in memory via Request,
@@ -79,7 +24,7 @@ func TestCtlClientAgainstAggregator(t *testing.T) {
 	cfg := testConfig()
 	p := dialProbe(t, a.Addr(), "ctl-probe", 1, cfg)
 	p.send(&Message{Type: MsgEpoch, Seq: 1, Watermark: 1, Blob: epochBlob(t, cfg, 0, "Facebook", 3, 100)})
-	client := &CtlClient{Addr: a.CtlAddr(), Timeout: 5 * time.Second}
+	client := &ctl.Client{Addr: a.CtlAddr(), Timeout: 5 * time.Second}
 
 	body, err := client.Request("status")
 	if err != nil {

@@ -1,6 +1,9 @@
 package epochwire
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"strconv"
 	"time"
 
@@ -110,27 +113,71 @@ func newAggMetrics(reg *obs.Registry) *AggMetrics {
 		ConnPanics:        reg.Counter("aggd_conn_panics_total", "Probe connection handlers that recovered from a panic."),
 	}
 	for d := services.Direction(0); d < services.NumDirections; d++ {
-		m.AppliedBytes[d] = reg.Gauge(
-			`aggd_applied_cell_bytes{dir="`+dirLabel(d)+`"}`,
+		m.AppliedBytes[d] = reg.Gauge(appliedBytesGauge(d),
 			"Cell bytes across live per-probe partials; equals the fold's cell totals at every instant.")
 	}
 	return m
 }
 
-// registerAggFuncs registers the aggregator's computed gauges: probe
-// population and the fold side of the conservation invariant. The
-// callbacks take a.mu at scrape time (the registry evaluates them
-// outside its own lock).
-func (a *Aggregator) registerAggFuncs() {
-	a.reg.GaugeFunc("aggd_probes_known", "Probe IDs with aggregator state.", func() int64 {
+// appliedBytesGauge and foldBytesGauge name the two sides of the live
+// conservation invariant; CheckScrapeConservation reads them back by
+// the same names.
+func appliedBytesGauge(d services.Direction) string {
+	return `aggd_applied_cell_bytes{dir="` + dirLabel(d) + `"}`
+}
+
+func foldBytesGauge(d services.Direction) string {
+	return `aggd_fold_cell_bytes{dir="` + dirLabel(d) + `"}`
+}
+
+// CheckScrapeConservation asserts the aggregator's conservation
+// invariant from a metrics scrape (the ctl `metrics` reply): the
+// applied-bytes gauges — what the live probe streams delivered — must
+// equal the fold's cell totals, per direction, mid-run as much as at
+// drain: resets and retransmits may never leave the fold out of step.
+// Each conserved direction is reported as one line on w.
+func CheckScrapeConservation(scrape []byte, w io.Writer) error {
+	// Histograms scrape as objects, everything this check reads as
+	// numbers; the generic decode admits both.
+	var reg map[string]any
+	if err := json.Unmarshal(scrape, &reg); err != nil {
+		return fmt.Errorf("undecodable metrics reply: %w", err)
+	}
+	for d := services.Direction(0); d < services.NumDirections; d++ {
+		applied, okA := reg[appliedBytesGauge(d)].(float64)
+		fold, okF := reg[foldBytesGauge(d)].(float64)
+		if !okA || !okF {
+			return fmt.Errorf("metrics reply lacks the aggd conservation gauges (not an aggd endpoint?)")
+		}
+		if fold == -1 && applied == 0 {
+			continue // nothing aggregated yet: trivially conserved
+		}
+		if applied != fold {
+			return fmt.Errorf("conservation violated: applied %.0f %s cell bytes but the fold holds %.0f", applied, dirLabel(d), fold)
+		}
+		fmt.Fprintf(w, "conservation ok (%s): applied == fold == %.0f cell bytes\n", dirLabel(d), applied)
+	}
+	return nil
+}
+
+// lockedGauge registers a computed gauge whose callback reads
+// aggregator state: it takes a.mu at scrape time (the registry
+// evaluates callbacks outside its own lock).
+func (a *Aggregator) lockedGauge(name, help string, get func() int64) {
+	a.reg.GaugeFunc(name, help, func() int64 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
+		return get()
+	})
+}
+
+// registerAggFuncs registers the aggregator's computed gauges: probe
+// population and the fold side of the conservation invariant.
+func (a *Aggregator) registerAggFuncs() {
+	a.lockedGauge("aggd_probes_known", "Probe IDs with aggregator state.", func() int64 {
 		return int64(len(a.probes))
 	})
-	a.reg.GaugeFunc("aggd_probes_connected", "Probes with a live connection.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		var n int64
+	a.lockedGauge("aggd_probes_connected", "Probes with a live connection.", func() (n int64) {
 		for _, ps := range a.probes {
 			if ps.conn != nil {
 				n++
@@ -139,18 +186,13 @@ func (a *Aggregator) registerAggFuncs() {
 		return n
 	})
 	for d := services.Direction(0); d < services.NumDirections; d++ {
-		d := d
-		a.reg.GaugeFunc(`aggd_fold_cell_bytes{dir="`+dirLabel(d)+`"}`,
-			"Cell bytes in the national fold; -1 while nothing is aggregated.",
-			func() int64 {
-				a.mu.Lock()
-				defer a.mu.Unlock()
-				part, err := a.foldCachedLocked()
-				if err != nil {
-					return -1
-				}
-				return int64(part.CellTotals()[d])
-			})
+		a.lockedGauge(foldBytesGauge(d), "Cell bytes in the national fold; -1 while nothing is aggregated.", func() int64 {
+			part, err := a.foldCachedLocked()
+			if err != nil {
+				return -1
+			}
+			return int64(part.CellTotals()[d])
+		})
 	}
 }
 
@@ -160,40 +202,25 @@ func (a *Aggregator) registerAggFuncs() {
 // holds a.mu; the callbacks re-take it at scrape time.
 func (a *Aggregator) registerProbeFuncsLocked(id string, ps *probeState) {
 	label := `{probe="` + id + `"}`
-	a.reg.GaugeFunc("aggd_probe_applied_seq"+label, "Highest sequence folded for this probe.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
+	a.lockedGauge("aggd_probe_applied_seq"+label, "Highest sequence folded for this probe.", func() int64 {
 		return int64(ps.applied)
 	})
-	a.reg.GaugeFunc("aggd_probe_durable_seq"+label, "Highest sequence persisted for this probe.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
+	a.lockedGauge("aggd_probe_durable_seq"+label, "Highest sequence persisted for this probe.", func() int64 {
 		return int64(ps.durable)
 	})
-	a.reg.GaugeFunc("aggd_probe_watermark"+label, "This probe's sealed watermark on its own grid.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
+	a.lockedGauge("aggd_probe_watermark"+label, "This probe's sealed watermark on its own grid.", func() int64 {
 		return int64(ps.watermark)
 	})
-	a.reg.GaugeFunc("aggd_probe_connected"+label, "Whether this probe has a live connection.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
+	a.lockedGauge("aggd_probe_connected"+label, "Whether this probe has a live connection.", func() int64 {
 		if ps.conn != nil {
 			return 1
 		}
 		return 0
 	})
-	a.reg.GaugeFunc("aggd_probe_cursor_age_seconds"+label, "Seconds since this probe's last applied message; -1 before the first.", func() int64 {
-		a.mu.Lock()
-		defer a.mu.Unlock()
+	a.lockedGauge("aggd_probe_cursor_age_seconds"+label, "Seconds since this probe's last applied message; -1 before the first.", func() int64 {
 		if ps.lastApply.IsZero() {
 			return -1
 		}
 		return int64(time.Since(ps.lastApply).Seconds())
 	})
 }
-
-// Registry returns the aggregator's metric registry (never nil; a
-// private one is created when AggConfig.Registry is unset) for the
-// -metrics HTTP listener.
-func (a *Aggregator) Registry() *obs.Registry { return a.reg }

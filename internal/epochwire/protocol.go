@@ -175,7 +175,7 @@ func WriteMessage(w io.Writer, m *Message) error {
 	}
 	payload.WriteTo(&frame)
 	var crc [4]byte
-	putUint32(crc[:], crc32.ChecksumIEEE(frame.Bytes()))
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(frame.Bytes()))
 	frame.Write(crc[:])
 	_, err := w.Write(frame.Bytes())
 	return err
@@ -218,7 +218,7 @@ func readCRCTrailer(r *bufio.Reader, cr *crcReader, what string) error {
 		}
 		return fmt.Errorf("epochwire: truncated %s crc: %w", what, err)
 	}
-	got := getUint32(crc)
+	got := binary.BigEndian.Uint32(crc)
 	r.Discard(4) // cannot fail: Peek just buffered them
 	if got != cr.sum {
 		return fmt.Errorf("epochwire: %s CRC mismatch (frame says %08x, content sums to %08x)", what, got, cr.sum)
@@ -358,13 +358,13 @@ func WriteHello(w io.Writer, h *Hello) error {
 		return err
 	}
 	var i64 [8]byte
-	putUint64(i64[:], h.Incarnation)
+	binary.BigEndian.PutUint64(i64[:], h.Incarnation)
 	buf.Write(i64[:])
 	if err := capture.WriteString(&buf, string(blob)); err != nil {
 		return err
 	}
 	var crc [4]byte
-	putUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(crc[:])
 	_, err = w.Write(buf.Bytes())
 	return err
@@ -414,7 +414,7 @@ func ReadHello(r *bufio.Reader) (*Hello, error) {
 	if err := capture.ReadFull(cr, i64[:], "epochwire incarnation"); err != nil {
 		return nil, err
 	}
-	h.Incarnation = getUint64(i64[:])
+	h.Incarnation = binary.BigEndian.Uint64(i64[:])
 	blob, err := capture.ReadStringLimited(cr, MaxConfigBlob, "epochwire config blob")
 	if err != nil {
 		return nil, err
@@ -459,7 +459,7 @@ func WriteWelcome(w io.Writer, wl *Welcome) error {
 		}
 	}
 	var crc [4]byte
-	putUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
 	buf.Write(crc[:])
 	_, err := w.Write(buf.Bytes())
 	return err
@@ -538,30 +538,4 @@ func DecodeConfig(blob []byte) (rollup.Config, error) {
 		return rollup.Config{}, fmt.Errorf("epochwire: config blob carries %d epochs, want none", len(p.Epochs))
 	}
 	return p.Cfg, nil
-}
-
-//repro:hotpath
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (56 - 8*i))
-	}
-}
-
-//repro:hotpath
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-//repro:hotpath
-func putUint32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-//repro:hotpath
-func getUint32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -136,7 +137,7 @@ func NewShipper(cfg ShipperConfig) (*Shipper, error) {
 	}
 	s := &Shipper{
 		cfg:         cfg,
-		incarnation: getUint64(inc[:]),
+		incarnation: binary.BigEndian.Uint64(inc[:]),
 		metrics:     noShipperMetrics,
 		horizons:    make([]uint64, cfg.Shards),
 		notify:      make(chan struct{}, 1),
@@ -445,14 +446,8 @@ func (s *Shipper) serve(conn net.Conn) error {
 		return Fatal(fmt.Errorf("epochwire: aggregator's durable cursor %d is past this probe's last sequence %d — probe ID %q collision?",
 			wl.Durable, s.sp.lastSeq(), s.cfg.ProbeID))
 	}
-	s.mu.Lock()
-	if wl.Durable > s.durable {
-		s.durable = wl.Durable
-	}
-	s.mu.Unlock()
-	s.sp.pruneThrough(wl.Durable)
+	s.advanceDurable(wl.Durable)
 	s.metrics.Sessions.Inc()
-	s.syncSpoolGauges()
 	s.cfg.Logf("epochwire: connected to %s, resuming from seq %d", s.cfg.Addr, wl.Durable+1)
 
 	next := wl.Durable + 1
@@ -496,13 +491,7 @@ func (s *Shipper) serve(conn net.Conn) error {
 				return fmt.Errorf("epochwire: sent seq %d, acked seq %d", m.Seq, ack.Seq)
 			}
 			s.metrics.Acks.Inc()
-			s.mu.Lock()
-			if ack.Durable > s.durable {
-				s.durable = ack.Durable
-			}
-			s.mu.Unlock()
-			s.sp.pruneThrough(ack.Durable)
-			s.syncSpoolGauges()
+			s.advanceDurable(ack.Durable)
 			next++
 			// A duplicate's ack can carry a durable cursor past the seq
 			// it acknowledges: the previous session delivered further
@@ -545,17 +534,24 @@ func (s *Shipper) serve(conn net.Conn) error {
 		if err != nil {
 			return err
 		}
-		s.mu.Lock()
-		if pong.Durable > s.durable {
-			s.durable = pong.Durable
-		}
-		s.mu.Unlock()
-		s.sp.pruneThrough(pong.Durable)
-		s.syncSpoolGauges()
+		s.advanceDurable(pong.Durable)
 		if pong.Durable >= next {
 			next = pong.Durable + 1
 		}
 	}
+}
+
+// advanceDurable takes the aggregator's durable cursor as a welcome, an
+// ack or a pong carried it: it only moves forward, and the spool prunes
+// through it.
+func (s *Shipper) advanceDurable(durable uint64) {
+	s.mu.Lock()
+	if durable > s.durable {
+		s.durable = durable
+	}
+	s.mu.Unlock()
+	s.sp.pruneThrough(durable)
+	s.syncSpoolGauges()
 }
 
 // readAck reads the single synchronous reply, tolerating nothing else.

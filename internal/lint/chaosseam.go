@@ -4,20 +4,21 @@ import (
 	"go/ast"
 )
 
-// ChaosSeam enforces the §13 injection seams inside the wire plane:
-// every I/O epochwire performs must route through the seams its
-// configs already carry — ShipperConfig.Dial / CtlClient.Dial for the
-// network, chaos.FS for the disk, AggConfig.WrapConn for accepted
-// connections. A direct os.* or net.* call is traffic the chaos plane
-// cannot fault, which silently shrinks the convergence oracle's
-// coverage: chaos can't fault what doesn't go through the seam.
+// ChaosSeam enforces the §13 injection seams inside the wire plane and
+// the ctl plane: every I/O internal/epochwire and internal/ctl perform
+// must route through the seams their configs already carry —
+// ShipperConfig.Dial / ctl.Client.Dial for the network, chaos.FS for
+// the disk, AggConfig.WrapConn for accepted connections. A direct os.*
+// or net.* call is traffic the chaos plane cannot fault, which silently
+// shrinks the convergence oracle's coverage: chaos can't fault what
+// doesn't go through the seam.
 //
 // The seam *defaults* (a raw &net.Dialer{} stored into a nil
 // cfg.Dial) are fine — the analyzer flags direct calls to the
 // bypassing package functions, not the construction of fallbacks.
 var ChaosSeam = &Analyzer{
 	Name: "chaosseam",
-	Doc:  "direct os/net I/O in internal/epochwire bypasses the chaos injection seams (DESIGN.md §13)",
+	Doc:  "direct os/net I/O in internal/epochwire or internal/ctl bypasses the chaos injection seams (DESIGN.md §13)",
 	Run:  runChaosSeam,
 }
 
@@ -36,13 +37,14 @@ var seamBypass = map[[2]string]string{
 	{"net", "DialTCP"}:     "the Dial seam",
 }
 
-// net.Listen is deliberately absent: the aggregator listens directly
-// and the seam is AggConfig.WrapConn, applied to each accepted
-// connection — faulting the listener would kill the daemon, not model
-// a flaky link.
+// net.Listen is deliberately absent: the aggregator and the ctl server
+// listen directly and the seam is per connection (AggConfig.WrapConn on
+// each accepted probe connection; ctl.Client.Dial on the operator's
+// side of a ctl exchange) — faulting the listener would kill the
+// daemon, not model a flaky link.
 
 func runChaosSeam(pass *Pass) {
-	if !pathWithin(pass.PkgPath, "internal/epochwire") {
+	if !pathWithinAny(pass.PkgPath, "internal/epochwire", "internal/ctl") {
 		return
 	}
 	for _, file := range pass.Files {

@@ -708,6 +708,25 @@ func (c *Collector) WithSealHook(h func(shard int, ep Epoch, nameOf func(svc uin
 	return c
 }
 
+// CheckTotals cross-checks the partial's two accountings of classified
+// volume — the invariant every producer and `rollupctl verify` hold a
+// snapshot to: the cells must sum to ClassifiedBytes. Both are sums of
+// the same integer-valued frame contributions, so below 2^53 any
+// difference is an accounting bug or corruption, not rounding; beyond
+// it float addition order starts to matter and last-bits drift is
+// tolerated.
+func (p *Partial) CheckTotals() error {
+	cellTotals := p.CellTotals()
+	for d := range cellTotals {
+		got, want := cellTotals[d], p.ClassifiedBytes[d]
+		const exactLimit = float64(1 << 53)
+		if got != want && (got < exactLimit && want < exactLimit || math.Abs(got-want) > 1e-9*math.Max(got, want)) {
+			return fmt.Errorf("rollup: cells sum to %.0f classified %v bytes, the totals record %.0f", got, services.Direction(d), want)
+		}
+	}
+	return nil
+}
+
 // Finish seals every shard builder, merges the shard partials exactly,
 // and absorbs the pipeline's merged report: the per-direction totals
 // and counters the sinks cannot see. It cross-checks the cell sums
@@ -733,25 +752,8 @@ func (c *Collector) Finish(rep *probe.Report) (*Partial, error) {
 			ControlMessages:  rep.ControlMessages,
 			UserPlanePackets: rep.UserPlanePackets,
 		}
-		cellTotals := part.CellTotals()
-		for d := 0; d < services.NumDirections; d++ {
-			got, want := cellTotals[d], rep.ClassifiedBytes[d]
-			if got == want {
-				continue
-			}
-			// Below 2^53 both sums are exact integers, so any
-			// difference is a wiring bug. Beyond it float addition
-			// order starts to matter; tolerate last-bits drift there
-			// rather than blaming the wiring.
-			const exactLimit = float64(1 << 53)
-			if got < exactLimit && want < exactLimit {
-				return nil, fmt.Errorf("rollup: sinks saw %.0f classified %v bytes, report accounts %.0f — sink not attached to every shard?",
-					got, services.Direction(d), want)
-			}
-			if diff := math.Abs(got - want); diff > 1e-9*math.Max(got, want) {
-				return nil, fmt.Errorf("rollup: sinks saw %.0f classified %v bytes, report accounts %.0f (beyond rounding at this volume)",
-					got, services.Direction(d), want)
-			}
+		if err := part.CheckTotals(); err != nil {
+			return nil, fmt.Errorf("%w — sink not attached to every shard?", err)
 		}
 	}
 	return part, nil

@@ -33,7 +33,16 @@
 //	internal/kshape,
 //	internal/cvi,peaks    analysis toolchain
 //	internal/experiments  experiment registry + concurrent engine
+//	internal/epochwire    distributed collection: probe shipper → merging aggregator
+//	internal/catalog      indexed query engine over snapshot files and directories
+//	internal/ctl          the admin protocol aggd and rollupctl serve both speak
+//	internal/daemon       what the binaries share: signals, -metrics, exit codes, the capture plane
+//	internal/obs          metrics registry, HTTP exposition, leveled logger
+//	internal/chaos        seeded fault injection behind the wire and disk seams
+//	internal/lint         the repolint analyzers (machine-checked invariants)
+//	internal/leakcheck    goroutine-leak helper for tests
 //	cmd/...               executables, examples/... runnable examples
+//	bench/                the performance ledger (BENCHMARK.json)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
