@@ -4,10 +4,14 @@
 // partials, and writes the national-view snapshot when the run drains
 // (every expected probe sent FIN) or on SIGINT/SIGTERM.
 //
-// With -state the aggregation survives restarts: cursors and partials
-// persist to the state file, reconnecting probes resume from their
-// durable sequence, and nothing is double-counted — the mid-run
-// aggregator restart of the conformance suite rides on exactly this.
+// With -state the aggregation survives restarts: every accepted
+// handshake and message is appended to the state log and committed
+// (one write, one fsync) every -persist-every messages and on every
+// FIN; a restart replays the log through the code the network feeds,
+// reconnecting probes resume from their durable sequence, and nothing
+// is double-counted — the mid-run aggregator restart of the conformance
+// suite rides on exactly this. The log grows with the run and is never
+// compacted (about the size of what the probes sent).
 // With -ctl a second listener serves the internal/ctl admin protocol
 // (status / snapshot / query / window A:B / metrics) that cmd/rollupctl
 // fetch speaks, and -metrics adds an HTTP listener with /metrics
@@ -51,9 +55,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	ctlAddr := fs.String("ctl", "", "address for the admin socket (status/snapshot/query/window/metrics; used by rollupctl fetch)")
 	var acfg epochwire.AggConfig
 	fs.IntVar(&acfg.Probes, "probes", 0, "drain after this many distinct probes complete (0 = run until signalled)")
-	fs.StringVar(&acfg.StatePath, "state", "", "persist aggregation state to this file (enables restart without data loss)")
+	fs.StringVar(&acfg.StatePath, "state", "", "log accepted messages to this file and replay it at start (enables restart without data loss)")
 	snapshot := fs.String("snapshot", "", "write the folded aggregate snapshot here on drain/shutdown")
-	fs.IntVar(&acfg.PersistEvery, "persist-every", 16, "persist state after this many applied epochs (FIN always persists)")
+	fs.IntVar(&acfg.PersistEvery, "persist-every", 16, "commit the state log after this many applied epochs (FIN always commits)")
 	fs.DurationVar(&acfg.IdleTimeout, "idle-timeout", 60*time.Second, "per-connection read deadline (probes ping well inside it)")
 	metricsAddr := fs.String("metrics", "", "serve /metrics, /debug/vars and pprof on this address")
 	metricsDump := fs.String("metrics-dump", "", "write the final registry JSON to this file on drain (for CI assertions)")

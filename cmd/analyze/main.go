@@ -32,13 +32,14 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/rollup"
 	"repro/internal/synth"
@@ -51,7 +52,7 @@ import (
 // unless -full-scan asks for the sequential reference: read everything,
 // ViewSpec.Apply. The two paths are defined (and tested in
 // internal/catalog) to produce identical partials.
-func snapshotEnv(path, window, svcNames string, fullScan bool, seed uint64) (*experiments.Env, error) {
+func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool, seed uint64) (*experiments.Env, error) {
 	var spec rollup.ViewSpec
 	hasView := false
 	if window != "" {
@@ -103,47 +104,56 @@ func snapshotEnv(path, window, svcNames string, fullScan bool, seed uint64) (*ex
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "analyze: planner decoded %d/%d epochs across %d files (%d pruned, %d v1 fallbacks)\n",
+		fmt.Fprintf(stderr, "analyze: planner decoded %d/%d epochs across %d files (%d pruned, %d v1 fallbacks)\n",
 			st.EpochsDecoded, st.EpochsTotal, st.Files, st.FilesPruned, st.Fallbacks)
 		return experiments.NewEnvFrom(ds, seed), nil
 	}
 }
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `analyze: run the paper's full study through the experiment engine
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+const usage = `analyze: run the paper's full study through the experiment engine
 
 Dataset sources (flag defaults below):
   (default)            synthetic generator at -scale, seeded by -seed
   -snapshot file       a rollup snapshot recorded by probesim -snapshot
 
-`)
-		flag.PrintDefaults()
+`
+
+// run is the whole command, returning its exit code: 0 for a completed
+// study (and -h), 2 for a usage error, 1 for a dataset that would not
+// load or an experiment that failed.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("analyze", usage, stderr)
+	scale := fs.String("scale", "small", "dataset scale: small | full (ignored with -snapshot)")
+	seed := fs.Uint64("seed", 1, "generator seed; with -snapshot it drives only the stochastic analysis steps")
+	snapshot := fs.String("snapshot", "", "analyze a rollup snapshot file (see cmd/probesim -snapshot) instead of generating data")
+	window := fs.String("window", "", "with -snapshot: analyze only bins A:B of the grid (e.g. 0:192 for the weekend at the 15-minute step)")
+	svcNames := fs.String("services", "", "with -snapshot: keep only these comma-separated service names (a view, like -window)")
+	fullScan := fs.Bool("full-scan", false, "with -snapshot views: bypass the footer-index planner and apply the view by a full sequential decode (single file only)")
+	ids := fs.String("ids", "", "comma-separated experiment ids to run (default: every registered experiment)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON results for every registered experiment")
+	concurrency := fs.Int("concurrency", 0, "parallel experiment workers (0 = NumCPU)")
+	if err := daemon.Parse(fs, args); err != nil {
+		return daemon.Exit(stderr, err)
 	}
-	scale := flag.String("scale", "small", "dataset scale: small | full (ignored with -snapshot)")
-	seed := flag.Uint64("seed", 1, "generator seed; with -snapshot it drives only the stochastic analysis steps")
-	snapshot := flag.String("snapshot", "", "analyze a rollup snapshot file (see cmd/probesim -snapshot) instead of generating data")
-	window := flag.String("window", "", "with -snapshot: analyze only bins A:B of the grid (e.g. 0:192 for the weekend at the 15-minute step)")
-	svcNames := flag.String("services", "", "with -snapshot: keep only these comma-separated service names (a view, like -window)")
-	fullScan := flag.Bool("full-scan", false, "with -snapshot views: bypass the footer-index planner and apply the view by a full sequential decode (single file only)")
-	ids := flag.String("ids", "", "comma-separated experiment ids to run (default: every registered experiment)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results for every registered experiment")
-	concurrency := flag.Int("concurrency", 0, "parallel experiment workers (0 = NumCPU)")
-	flag.Parse()
 
 	var env *experiments.Env
 	var err error
-	for flagName, set := range map[string]bool{"-window": *window != "", "-services": *svcNames != "", "-full-scan": *fullScan} {
-		if set && *snapshot == "" {
-			fmt.Fprintf(os.Stderr, "analyze: %s requires -snapshot\n", flagName)
-			os.Exit(2)
+	for _, view := range []struct {
+		flag string
+		set  bool
+	}{{"-window", *window != ""}, {"-services", *svcNames != ""}, {"-full-scan", *fullScan}} {
+		if view.set && *snapshot == "" {
+			fmt.Fprintf(stderr, "analyze: %s requires -snapshot\n", view.flag)
+			return daemon.Exit(stderr, daemon.ErrUsage)
 		}
 	}
 	if *snapshot != "" {
 		if !*jsonOut {
-			fmt.Printf("Loading rollup snapshot %s (seed %d)...\n", *snapshot, *seed)
+			fmt.Fprintf(stdout, "Loading rollup snapshot %s (seed %d)...\n", *snapshot, *seed)
 		}
-		env, err = snapshotEnv(*snapshot, *window, *svcNames, *fullScan, *seed)
+		env, err = snapshotEnv(stderr, *snapshot, *window, *svcNames, *fullScan, *seed)
 	} else {
 		cfg := synth.SmallConfig()
 		if *scale == "full" {
@@ -151,14 +161,13 @@ Dataset sources (flag defaults below):
 		}
 		cfg.Seed = *seed
 		if !*jsonOut {
-			fmt.Printf("Generating %d-commune dataset (%d services, seed %d)...\n",
+			fmt.Fprintf(stdout, "Generating %d-commune dataset (%d services, seed %d)...\n",
 				cfg.Geo.NumCommunes, cfg.TotalServices, cfg.Seed)
 		}
 		env, err = experiments.NewEnv(cfg)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return daemon.Exit(stderr, err)
 	}
 
 	var runIDs []string
@@ -172,22 +181,20 @@ Dataset sources (flag defaults below):
 	eng := experiments.NewEngine(env)
 	results, err := eng.Run(context.Background(), experiments.Options{Concurrency: *concurrency, IDs: runIDs})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return daemon.Exit(stderr, err)
 	}
 
 	if *jsonOut {
 		buf, err := experiments.EncodeJSON(results)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return daemon.Exit(stderr, err)
 		}
-		os.Stdout.Write(buf)
-		return
+		stdout.Write(buf)
+		return 0
 	}
 
 	country := env.DS.Geography()
-	fmt.Printf("Country: %d communes, %d subscribers, %d cities\n\n",
+	fmt.Fprintf(stdout, "Country: %d communes, %d subscribers, %d cities\n\n",
 		len(country.Communes), country.TotalSubscribers(), len(country.Cities))
 
 	byID := make(map[string]experiments.Result, len(results))
@@ -203,49 +210,50 @@ Dataset sources (flag defaults below):
 		return math.NaN()
 	}
 
-	fmt.Println("== Overview (Sec. 3) ==")
-	fmt.Printf("  Zipf exponent, top half, downlink: %.2f  (paper: -1.69)\n",
+	fmt.Fprintln(stdout, "== Overview (Sec. 3) ==")
+	fmt.Fprintf(stdout, "  Zipf exponent, top half, downlink: %.2f  (paper: -1.69)\n",
 		metric("fig2", "zipf_exponent_downlink"))
-	fmt.Printf("  Zipf exponent, top half, uplink:   %.2f  (paper: -1.55)\n",
+	fmt.Fprintf(stdout, "  Zipf exponent, top half, uplink:   %.2f  (paper: -1.55)\n",
 		metric("fig2", "zipf_exponent_uplink"))
-	fmt.Printf("  Video share of downlink:           %.1f%% (paper: 46%%)\n",
+	fmt.Fprintf(stdout, "  Video share of downlink:           %.1f%% (paper: 46%%)\n",
 		100*metric("fig3", "video_share_downlink"))
 
-	fmt.Println("\n== Insight 1: heterogeneous temporal dynamics (Sec. 4) ==")
-	fmt.Printf("  Distinct peak calendars:           %.0f/20 (paper: all distinct)\n",
+	fmt.Fprintln(stdout, "\n== Insight 1: heterogeneous temporal dynamics (Sec. 4) ==")
+	fmt.Fprintf(stdout, "  Distinct peak calendars:           %.0f/20 (paper: all distinct)\n",
 		metric("fig6", "distinct_patterns"))
-	fmt.Printf("  Peaks outside 7 topical times:     %.0f    (paper: 0)\n",
+	fmt.Fprintf(stdout, "  Peaks outside 7 topical times:     %.0f    (paper: 0)\n",
 		metric("fig6", "outside_peaks"))
-	fmt.Printf("  Silhouette trend vs k (downlink):  %+.4f (paper: degrading, no winner)\n",
+	fmt.Fprintf(stdout, "  Silhouette trend vs k (downlink):  %+.4f (paper: degrading, no winner)\n",
 		metric("fig5", "silhouette_slope_downlink"))
 
-	fmt.Println("\n== Insight 2: homogeneous spatial distributions (Sec. 5) ==")
-	fmt.Printf("  Mean pairwise r², downlink:        %.2f  (paper: 0.60)\n",
+	fmt.Fprintln(stdout, "\n== Insight 2: homogeneous spatial distributions (Sec. 5) ==")
+	fmt.Fprintf(stdout, "  Mean pairwise r², downlink:        %.2f  (paper: 0.60)\n",
 		metric("fig10", "mean_r2_downlink"))
-	fmt.Printf("  Mean pairwise r², uplink:          %.2f  (paper: 0.53)\n",
+	fmt.Fprintf(stdout, "  Mean pairwise r², uplink:          %.2f  (paper: 0.53)\n",
 		metric("fig10", "mean_r2_uplink"))
-	fmt.Printf("  Twitter top-1%% commune share:      %.1f%% (paper: >50%%)\n",
+	fmt.Fprintf(stdout, "  Twitter top-1%% commune share:      %.1f%% (paper: >50%%)\n",
 		100*metric("fig8", "top1pct_share"))
-	fmt.Printf("  Twitter top-10%% commune share:     %.1f%% (paper: >90%%)\n",
+	fmt.Fprintf(stdout, "  Twitter top-10%% commune share:     %.1f%% (paper: >90%%)\n",
 		100*metric("fig8", "top10pct_share"))
 
-	fmt.Println("\n== Insight 3: urbanization drives how much, not when (Sec. 5) ==")
-	fmt.Printf("  Mean semi-urban/urban slope:       %.2f  (paper: ≈1)\n",
+	fmt.Fprintln(stdout, "\n== Insight 3: urbanization drives how much, not when (Sec. 5) ==")
+	fmt.Fprintf(stdout, "  Mean semi-urban/urban slope:       %.2f  (paper: ≈1)\n",
 		metric("fig11", "mean_slope_semiurban"))
-	fmt.Printf("  Mean rural/urban slope:            %.2f  (paper: ≈0.5)\n",
+	fmt.Fprintf(stdout, "  Mean rural/urban slope:            %.2f  (paper: ≈0.5)\n",
 		metric("fig11", "mean_slope_rural"))
-	fmt.Printf("  Mean TGV/urban slope:              %.2f  (paper: ≥2)\n",
+	fmt.Fprintf(stdout, "  Mean TGV/urban slope:              %.2f  (paper: ≥2)\n",
 		metric("fig11", "mean_slope_tgv"))
-	fmt.Printf("  Mean temporal r², urban row:       %.2f  (paper: high)\n",
+	fmt.Fprintf(stdout, "  Mean temporal r², urban row:       %.2f  (paper: high)\n",
 		metric("fig11", "mean_time_r2_urban"))
-	fmt.Printf("  Mean temporal r², TGV row:         %.2f  (paper: low outlier)\n",
+	fmt.Fprintf(stdout, "  Mean temporal r², TGV row:         %.2f  (paper: low outlier)\n",
 		metric("fig11", "mean_time_r2_tgv"))
 
-	fmt.Println("\n== Measurement pipeline (Sec. 2) ==")
-	fmt.Printf("  DPI classification rate:           %.1f%% (paper: 88%%)\n",
+	fmt.Fprintln(stdout, "\n== Measurement pipeline (Sec. 2) ==")
+	fmt.Fprintf(stdout, "  DPI classification rate:           %.1f%% (paper: 88%%)\n",
 		100*metric("probe", "classification_rate"))
-	fmt.Printf("  Median ULI localization error:     %.1f km (paper: ≈3 km)\n",
+	fmt.Fprintf(stdout, "  Median ULI localization error:     %.1f km (paper: ≈3 km)\n",
 		metric("probe", "median_uli_error_km"))
-	fmt.Printf("  Measured-vs-generated rank corr.:  %.2f  (probe data through the analysis API)\n",
+	fmt.Fprintf(stdout, "  Measured-vs-generated rank corr.:  %.2f  (probe data through the analysis API)\n",
 		metric("probe", "measured_rank_correlation"))
+	return 0
 }

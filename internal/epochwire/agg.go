@@ -3,10 +3,8 @@ package epochwire
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -17,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/capture"
 	"repro/internal/chaos"
 	"repro/internal/ctl"
 	"repro/internal/obs"
@@ -31,13 +28,14 @@ type AggConfig struct {
 	// once that many have sent FIN, the aggregator drains (closes
 	// Done). Zero means never drain — run until stopped.
 	Probes int
-	// StatePath, when set, persists aggregation state so a restarted
-	// aggregator resumes from its durable cursors instead of zero.
+	// StatePath, when set, keeps a log of every accepted handshake and
+	// message there, so a restarted aggregator replays it and resumes
+	// from its durable cursors instead of zero.
 	StatePath string
 	// PersistEvery is how many applied messages may accumulate before
-	// the state file is rewritten (default 16). FIN always persists
-	// immediately — a probe's Finish returns only once its whole run
-	// is in the state file.
+	// they are committed to the state log (default 16). FIN always
+	// commits immediately — a probe's Finish returns only once its
+	// whole run is in the state log.
 	PersistEvery int
 	// IdleTimeout is the per-connection read deadline (default 60s);
 	// probes ping well inside it.
@@ -60,7 +58,7 @@ type AggConfig struct {
 type probeState struct {
 	incarnation uint64
 	applied     uint64 // highest seq folded into part
-	durable     uint64 // highest seq captured by the last persist
+	durable     uint64 // highest seq covered by a state log commit
 	watermark   uint64 // max received watermark, on the probe's grid
 	cfg         rollup.Config
 	fin         bool
@@ -71,6 +69,10 @@ type probeState struct {
 	// full fold; an incarnation reset subtracts it back out.
 	appliedBytes [services.NumDirections]float64
 	lastApply    time.Time // wall time of the last applied message
+	// hello is the state log's 'H' record for the last handshake that
+	// changed this probe: appended then, and again whenever the log's
+	// records switch back to this probe from another's.
+	hello []byte
 }
 
 // Aggregator accepts probe connections and folds their epoch streams
@@ -83,14 +85,13 @@ type Aggregator struct {
 	cfg     AggConfig
 	ln      net.Listener
 	ctl     *ctl.Server // nil without a ctl address
-	reg     *obs.Registry
 	metrics *AggMetrics
 
 	mu       sync.Mutex
 	base     rollup.Config // union of every accepted grid; adopted from the first Hello
 	haveBase bool
 	probes   map[string]*probeState
-	dirty    int // applied-but-not-persisted message count
+	dirty    int // applied-but-not-committed message count
 	draining bool
 	// foldCache and snapCache memoize the national fold and its v2
 	// encoding between mutations, so ctl clients polling
@@ -100,10 +101,13 @@ type Aggregator struct {
 	// outside the lock.
 	foldCache *rollup.Partial
 	snapCache []byte
-	// stateBuf and partBuf are persistLocked's scratch — the state file
-	// image and one probe's partial blob — kept across persists so a
-	// rewrite reuses the previous one's memory.
-	stateBuf, partBuf bytes.Buffer
+	// The state log (nil without a StatePath): committed bytes of it are
+	// written and fsynced, tail holds the records accepted since, and
+	// cur is the probe its last 'H' record names.
+	log       chaos.File
+	committed int64
+	tail      []byte
+	cur       *probeState
 
 	done     chan struct{} // closed when Probes distinct probes have fin'd
 	stopping atomic.Bool   // set by Stop before it interrupts the handlers' reads
@@ -111,7 +115,7 @@ type Aggregator struct {
 	wg       sync.WaitGroup
 }
 
-// NewAggregator binds addr, loads the state file if one exists, and
+// NewAggregator binds addr, replays the state log if one exists, and
 // starts accepting probes. ctlAddr, when non-empty, serves the
 // internal/ctl admin protocol (status, snapshot, query, window,
 // metrics) over the live fold on a second listener.
@@ -133,30 +137,34 @@ func NewAggregator(addr, ctlAddr string, cfg AggConfig) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:     cfg,
-		reg:     cfg.Registry,
 		metrics: newAggMetrics(cfg.Registry),
 		probes:  make(map[string]*probeState),
 		done:    make(chan struct{}),
 	}
 	a.registerAggFuncs()
 	if cfg.StatePath != "" {
-		if err := a.loadState(); err != nil {
+		if err := a.openLog(); err != nil {
 			return nil, err
 		}
 	}
 	ln, err := net.Listen("tcp", addr)
+	if err == nil && ctlAddr != "" {
+		if a.ctl, err = ctl.Serve(ctlAddr, ctlBackend{a}, cfg.Registry); err != nil {
+			ln.Close()
+		}
+	}
 	if err != nil {
+		if a.log != nil {
+			a.log.Close()
+		}
 		return nil, err
 	}
 	a.ln = ln
-	if ctlAddr != "" {
-		if a.ctl, err = ctl.Serve(ctlAddr, ctlBackend{a}, a.reg); err != nil {
-			ln.Close()
-			return nil, err
-		}
-	}
 	a.mu.Lock()
-	a.checkDrain()
+	// A new log's header is committed here; after a replay there is
+	// nothing to write, durable catches up to applied, and a run that
+	// had finished drains at once.
+	a.persistTolerantLocked()
 	a.mu.Unlock()
 	a.wg.Add(1)
 	go a.accept()
@@ -179,8 +187,8 @@ func (a *Aggregator) CtlAddr() string {
 func (a *Aggregator) Done() <-chan struct{} { return a.done }
 
 // Stop closes the listeners, ends the probe connections (each after
-// the reply it may be writing), persists state, and waits for the
-// handlers to exit. Safe to call more than once.
+// the reply it may be writing), commits the state log, and waits for
+// the handlers to exit. Safe to call more than once.
 func (a *Aggregator) Stop() {
 	a.stopOnce.Do(func() {
 		a.ln.Close()
@@ -192,15 +200,18 @@ func (a *Aggregator) Stop() {
 		for _, ps := range a.probes {
 			if ps.conn != nil {
 				// Interrupt the handler's read, never its write: the last
-				// fin's ack, whose persist closed Done and brought the caller
+				// fin's ack, whose commit closed Done and brought the caller
 				// here, still reaches its probe. The handler closes the conn.
 				ps.conn.SetReadDeadline(time.Now())
 			}
 		}
-		a.persistLocked()
+		a.persistTolerantLocked()
 		a.mu.Unlock()
+		a.wg.Wait()
+		if a.log != nil {
+			a.log.Close()
+		}
 	})
-	a.wg.Wait()
 }
 
 func (a *Aggregator) accept() {
@@ -243,62 +254,28 @@ func (a *Aggregator) serve(conn net.Conn) error {
 	h, err := ReadHello(br)
 	if err != nil {
 		var ve *VersionError
-		if errors.As(err, &ve) {
+		if errors.As(err, &ve) || errors.Is(err, errProbeID) {
 			a.metrics.Rejects.Inc()
-			WriteWelcome(conn, &Welcome{Reject: ve.Error()})
+			WriteWelcome(conn, &Welcome{Reject: err.Error()})
 		}
 		return err
 	}
 	a.metrics.Conns.Inc()
 
 	a.mu.Lock()
-	// Adopt the first grid, union in every later one. A grid that
-	// cannot union (different step or geography, off-lattice start) is
-	// a misconfigured probe: reject it at the door.
-	if !a.haveBase {
-		a.base, a.haveBase = h.Cfg, true
-	} else if u, err := a.base.Union(h.Cfg); err != nil {
+	ps, changed, err := a.admit(h)
+	if err != nil {
 		a.mu.Unlock()
 		a.metrics.Rejects.Inc()
 		WriteWelcome(conn, &Welcome{Reject: err.Error()})
 		return fmt.Errorf("epochwire: rejecting probe %q: %w", h.ProbeID, err)
-	} else {
-		a.base = u
-	}
-	ps := a.probes[h.ProbeID]
-	if ps == nil {
-		ps = &probeState{}
-		a.probes[h.ProbeID] = ps
-		a.registerProbeFuncsLocked(h.ProbeID, ps)
 	}
 	if old := ps.conn; old != nil {
 		old.Close() // latest connection for a probe ID wins
 	}
 	ps.conn = conn
-	// The config must land before any persist can run: the incarnation
-	// reset below persists, and a brand-new probe's entry serialized
-	// with a zero config would poison the state file for the next
-	// restart (a load-time decode error), not just this session.
-	ps.cfg = h.Cfg
-	if ps.incarnation != h.Incarnation {
-		// A new probe process: its replayed stream supersedes whatever
-		// the old incarnation delivered. Reset this probe's slice of
-		// state; peers are untouched.
-		if ps.incarnation != 0 || ps.applied != 0 {
-			a.cfg.Logf("epochwire: probe %q restarted (incarnation %x→%x), resetting its stream", h.ProbeID, ps.incarnation, h.Incarnation)
-			a.metrics.IncarnationResets.Inc()
-		}
-		ps.incarnation = h.Incarnation
-		ps.applied, ps.durable, ps.watermark = 0, 0, 0
-		ps.fin = false
-		ps.part = nil
-		// The discarded stream's bytes leave the conservation gauges
-		// with it; the replay re-adds them.
-		for d := range ps.appliedBytes {
-			a.metrics.AppliedBytes[d].Add(-int64(ps.appliedBytes[d]))
-			ps.appliedBytes[d] = 0
-		}
-		a.foldCache, a.snapCache = nil, nil
+	if changed {
+		a.logLocked(ps, nil)
 		a.persistTolerantLocked()
 	}
 	durable := ps.durable
@@ -328,118 +305,189 @@ func (a *Aggregator) serve(conn net.Conn) error {
 			}
 			return err
 		}
+		var reply *Message
 		switch m.Type {
 		case MsgPing:
-			durable, err := a.pingState(h.ProbeID, h.Incarnation)
-			if err != nil {
-				return err
-			}
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.IdleTimeout))
-			if err := WriteMessage(conn, &Message{Type: MsgPong, Durable: durable}); err != nil {
-				return err
-			}
+			reply, err = a.pingState(h.ProbeID, h.Incarnation)
 		case MsgEpoch, MsgFin:
-			ack, err := a.apply(h.ProbeID, h.Incarnation, m)
-			if err != nil {
-				return err
-			}
-			conn.SetWriteDeadline(time.Now().Add(a.cfg.IdleTimeout))
-			if err := WriteMessage(conn, ack); err != nil {
-				return err
-			}
+			reply, err = a.apply(h.ProbeID, h.Incarnation, m)
 		default:
-			return fmt.Errorf("epochwire: unexpected %q message from probe %q", m.Type, h.ProbeID)
+			err = fmt.Errorf("epochwire: unexpected %q message from probe %q", m.Type, h.ProbeID)
+		}
+		if err != nil {
+			return err
+		}
+		conn.SetWriteDeadline(time.Now().Add(a.cfg.IdleTimeout))
+		if err := WriteMessage(conn, reply); err != nil {
+			return err
 		}
 	}
 }
 
-// pingState answers a keepalive: when the probe has applied-but-not-
-// durable messages (an earlier state persist failed), the ping is the
-// retry trigger, so an idle session still converges to durability.
-// Returns the durable cursor the pong should carry.
-func (a *Aggregator) pingState(probeID string, incarnation uint64) (uint64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ps := a.probes[probeID]
-	if ps == nil || ps.incarnation != incarnation {
-		return 0, fmt.Errorf("epochwire: probe %q state superseded mid-stream", probeID)
+// maxProbes bounds the distinct probe IDs tracked: any peer can name a
+// new one, and each costs a probeState, five gauges and a log record.
+var maxProbes = 1 << 16
+
+// admit is a handshake's whole effect on aggregator state, from the
+// network and from the state log's replay alike: union the grid into
+// base, create the probe's state, reset it for a new incarnation.
+// changed reports a hello unlike the last one admitted for this ID (a
+// new probe, incarnation or grid): the ones a restart needs logged. An
+// error — a grid that cannot union, one probe too many — leaves no
+// trace. Caller holds mu.
+func (a *Aggregator) admit(h *Hello) (ps *probeState, changed bool, err error) {
+	// Adopt the first grid, union in every later one. A grid that
+	// cannot union (different step or geography, off-lattice start) is
+	// a misconfigured probe: reject it at the door.
+	base := h.Cfg
+	if a.haveBase {
+		if base, err = a.base.Union(h.Cfg); err != nil {
+			return nil, false, err
+		}
 	}
-	if ps.durable < ps.applied {
-		a.persistTolerantLocked()
+	hello, err := appendHello(nil, h)
+	if err != nil {
+		return nil, false, err
 	}
-	return ps.durable, nil
+	rec := appendFrame(nil, recHello, hello, nil)
+	if ps = a.probes[h.ProbeID]; ps == nil {
+		if len(a.probes) >= maxProbes {
+			return nil, false, fmt.Errorf("epochwire: already tracking %d probe IDs, the limit", maxProbes)
+		}
+		ps = &probeState{}
+		a.probes[h.ProbeID] = ps
+		a.registerProbeFuncsLocked(h.ProbeID, ps)
+	}
+	a.base, a.haveBase = base, true
+	changed = !bytes.Equal(ps.hello, rec)
+	if ps.incarnation != h.Incarnation {
+		// A new probe process: its replayed stream supersedes whatever
+		// the old incarnation delivered. Reset this probe's slice of
+		// state; peers are untouched.
+		if ps.incarnation != 0 || ps.applied != 0 {
+			a.cfg.Logf("epochwire: probe %q restarted (incarnation %x→%x), resetting its stream", h.ProbeID, ps.incarnation, h.Incarnation)
+			a.metrics.IncarnationResets.Inc()
+		}
+		// The discarded stream's bytes leave the conservation gauges
+		// with it; the replay re-adds them.
+		for d := range ps.appliedBytes {
+			a.metrics.AppliedBytes[d].Add(-int64(ps.appliedBytes[d]))
+		}
+		*ps = probeState{incarnation: h.Incarnation, conn: ps.conn, lastApply: ps.lastApply}
+		a.foldCache, a.snapCache = nil, nil
+	}
+	ps.hello, ps.cfg = rec, h.Cfg
+	return ps, changed, nil
 }
 
-// apply folds one epoch/fin message into the probe's partial and
-// returns the ack. Duplicates (seq already applied — a retransmit
-// racing an ack) are acked without re-applying; a sequence gap means
-// the peers disagree about history and kills the connection.
-func (a *Aggregator) apply(probeID string, incarnation uint64, m *Message) (*Message, error) {
-	// Decode outside a.mu: the blob decode is the expensive part of an
-	// apply and reads nothing from shared state, so one probe's slow or
-	// enormous epoch no longer stalls its peers' applies and the ctl
-	// plane's folds. (A duplicate pays a wasted decode — retransmit
-	// races are rare; a stalled aggregator is not.)
-	part, err := rollup.Read(bytes.NewReader(m.Blob))
-	if err != nil {
-		return nil, fmt.Errorf("epochwire: probe %q seq %d: %w", probeID, m.Seq, err)
-	}
-	if m.Type == MsgEpoch && len(part.Epochs) == 0 {
-		return nil, fmt.Errorf("epochwire: probe %q seq %d: epoch message with no epoch", probeID, m.Seq)
-	}
-	if m.Type == MsgFin && len(part.Epochs) != 0 {
-		return nil, fmt.Errorf("epochwire: probe %q seq %d: fin message carrying %d epochs", probeID, m.Seq, len(part.Epochs))
-	}
-	// The message partial's cell totals feed the conservation gauges;
-	// computed before the merge consumes it (one epoch: a short walk).
-	msgBytes := part.CellTotals()
-
+// pingState answers a keepalive with a pong carrying the probe's durable
+// cursor. When the probe has applied-but-not-durable messages (an
+// earlier commit failed), the ping is the retry trigger, so an idle
+// session still converges to durability.
+func (a *Aggregator) pingState(probeID string, incarnation uint64) (*Message, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ps := a.probes[probeID]
 	if ps == nil || ps.incarnation != incarnation {
 		return nil, fmt.Errorf("epochwire: probe %q state superseded mid-stream", probeID)
 	}
+	if ps.durable < ps.applied {
+		a.persistTolerantLocked()
+	}
+	return &Message{Type: MsgPong, Durable: ps.durable}, nil
+}
+
+// decodeBlob parses a message's snapshot blob and checks it against the
+// message type — the half of an apply that touches no shared state.
+func decodeBlob(m *Message) (*rollup.Partial, error) {
+	part, err := rollup.Read(bytes.NewReader(m.Blob))
+	if err != nil {
+		return nil, err
+	}
+	if (m.Type == MsgFin) != (len(part.Epochs) == 0) { // a fin carries totals only, an epoch at least one epoch
+		return nil, fmt.Errorf("%q message carrying %d epochs", m.Type, len(part.Epochs))
+	}
+	return part, nil
+}
+
+// fold is the other half, and with admit the only code that changes
+// what the aggregator holds: the network's apply and the state log's
+// replay both end here. It merges m's decoded blob into ps's partial
+// and advances the cursors, the conservation gauges and fin. dup
+// reports a seq already applied (a retransmit racing an ack), nothing
+// folded; a gap means the peers disagree about history. Caller holds mu.
+func (a *Aggregator) fold(ps *probeState, m *Message, part *rollup.Partial) (dup bool, err error) {
 	if m.Seq <= ps.applied {
+		return true, nil
+	}
+	if m.Seq != ps.applied+1 {
+		a.metrics.SeqGaps.Inc()
+		return false, fmt.Errorf("seq %d after %d", m.Seq, ps.applied)
+	}
+	// The message partial's cell totals feed the conservation gauges;
+	// computed before the merge consumes it (one epoch: a short walk).
+	msgBytes := part.CellTotals()
+	if ps.part == nil {
+		ps.part = part
+	} else if err := ps.part.Merge(part); err != nil {
+		return false, err
+	}
+	a.foldCache, a.snapCache = nil, nil
+	ps.applied = m.Seq
+	for d := range msgBytes {
+		ps.appliedBytes[d] += msgBytes[d]
+		a.metrics.AppliedBytes[d].Add(int64(msgBytes[d]))
+	}
+	ps.watermark = max(ps.watermark, m.Watermark)
+	if m.Type == MsgFin {
+		ps.fin = true
+		a.metrics.FinsApplied.Inc()
+	} else {
+		a.metrics.EpochsApplied.Inc()
+	}
+	return false, nil
+}
+
+// apply is the network's path to fold: decode, validate and fold one
+// epoch/fin message, append it to the state log's tail, commit if it
+// is time, and return the ack. A duplicate is acked without being
+// re-applied (or logged); any error kills the connection.
+func (a *Aggregator) apply(probeID string, incarnation uint64, m *Message) (*Message, error) {
+	// Decode outside a.mu: the blob decode is the expensive part of an
+	// apply and reads nothing from shared state, so one probe's slow or
+	// enormous epoch no longer stalls its peers' applies and the ctl
+	// plane's folds. (A duplicate pays a wasted decode — retransmit
+	// races are rare; a stalled aggregator is not.)
+	part, err := decodeBlob(m)
+	if err != nil {
+		return nil, fmt.Errorf("epochwire: probe %q seq %d: %w", probeID, m.Seq, err)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ps := a.probes[probeID]
+	if ps == nil || ps.incarnation != incarnation {
+		return nil, fmt.Errorf("epochwire: probe %q state superseded mid-stream", probeID)
+	}
+	dup, err := a.fold(ps, m, part)
+	if err != nil {
+		return nil, fmt.Errorf("epochwire: probe %q seq %d: %w", probeID, m.Seq, err)
+	}
+	if dup {
 		a.metrics.Duplicates.Inc()
 		// A retransmit means the probe never saw our ack — often because
-		// the session died right after a persist failure. Retry the
-		// persist here so the duplicate's ack can report progress.
+		// the session died right after a commit failure. Retry the
+		// commit here so the duplicate's ack can report progress.
 		if ps.durable < ps.applied {
 			a.persistTolerantLocked()
 		}
 		return &Message{Type: MsgAck, Seq: m.Seq, Durable: ps.durable}, nil
 	}
-	if m.Seq != ps.applied+1 {
-		a.metrics.SeqGaps.Inc()
-		return nil, fmt.Errorf("epochwire: probe %q sent seq %d after %d", probeID, m.Seq, ps.applied)
-	}
-	if ps.part == nil {
-		ps.part = part
-	} else if err := ps.part.Merge(part); err != nil {
-		return nil, fmt.Errorf("epochwire: probe %q seq %d: %w", probeID, m.Seq, err)
-	}
-	a.foldCache, a.snapCache = nil, nil
-	ps.applied = m.Seq
 	ps.lastApply = time.Now()
-	for d := range msgBytes {
-		ps.appliedBytes[d] += msgBytes[d]
-		a.metrics.AppliedBytes[d].Add(int64(msgBytes[d]))
-	}
-	if m.Type == MsgEpoch {
-		a.metrics.EpochsApplied.Inc()
-	}
-	if m.Watermark > ps.watermark {
-		ps.watermark = m.Watermark
-	}
+	a.logLocked(ps, m)
 	a.dirty++
-	if m.Type == MsgFin {
-		ps.fin = true
-		a.metrics.FinsApplied.Inc()
-	}
-	// FIN triggers a persist unconditionally: the probe's Finish blocks
+	// FIN triggers a commit unconditionally: the probe's Finish blocks
 	// until its fin is *durable*, so exit 0 on the probe certifies the
-	// whole run is in this aggregator's state file. A persist failure
+	// whole run is in this aggregator's state log. A commit failure
 	// is tolerated, not fatal to the connection: the ack honestly
 	// reports the stale durable cursor, the probe keeps the session and
 	// its spool, and the next apply, duplicate, or ping retries — the
@@ -451,22 +499,22 @@ func (a *Aggregator) apply(probeID string, incarnation uint64, m *Message) (*Mes
 	return &Message{Type: MsgAck, Seq: m.Seq, Durable: ps.durable}, nil
 }
 
-// persistTolerantLocked persists, tolerating failure: the durable
-// cursors simply stay behind and a later trigger retries. Success may
-// newly satisfy the drain condition (fins become durable), so it
-// re-checks. Caller holds mu.
+// persistTolerantLocked commits the state log, tolerating failure: the
+// durable cursors simply stay behind and a later trigger retries.
+// Success may newly satisfy the drain condition (fins become durable),
+// so it re-checks. Caller holds mu.
 func (a *Aggregator) persistTolerantLocked() {
-	if err := a.persistLocked(); err != nil {
+	if err := a.commitLocked(); err != nil {
 		a.metrics.PersistErrors.Inc()
-		a.cfg.Logf("epochwire: state persist failed (durable cursors lag until a retry lands): %v", err)
+		a.cfg.Logf("epochwire: state log commit failed (durable cursors lag until a retry lands): %v", err)
 		return
 	}
 	a.checkDrain()
 }
 
 // checkDrain closes done once enough distinct probes have fin'd
-// *durably* — fin applied and captured by a successful persist — so
-// draining never certifies a run the state file doesn't hold yet.
+// *durably* — fin applied and covered by a successful commit — so
+// draining never certifies a run the state log doesn't hold yet.
 // Caller holds mu.
 func (a *Aggregator) checkDrain() {
 	if a.draining || a.cfg.Probes <= 0 {
@@ -490,9 +538,7 @@ func (a *Aggregator) checkDrain() {
 // order produces the same bytes. The returned partial is the caller's
 // to mutate: it is decoded fresh from the memoized encoding.
 func (a *Aggregator) Fold() (*rollup.Partial, error) {
-	a.mu.Lock()
-	b, err := a.snapshotBytesLocked()
-	a.mu.Unlock()
+	b, err := a.snapshotBytes()
 	if err != nil {
 		return nil, err
 	}
@@ -512,6 +558,12 @@ func (a *Aggregator) foldCachedLocked() (*rollup.Partial, error) {
 	}
 	a.foldCache = p
 	return p, nil
+}
+
+func (a *Aggregator) snapshotBytes() ([]byte, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.snapshotBytesLocked()
 }
 
 // snapshotBytesLocked returns the fold's v2 snapshot encoding,
@@ -548,17 +600,10 @@ func (a *Aggregator) foldLocked() (*rollup.Partial, error) {
 		return &rollup.Partial{Cfg: a.base}, nil
 	}
 	sort.Strings(ids)
-	// Clone the first partial via an encode/decode round trip so the
-	// fold never mutates live per-probe state.
-	var buf bytes.Buffer
-	if err := rollup.Write(&buf, a.probes[ids[0]].part); err != nil {
-		return nil, err
-	}
-	out, err := rollup.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids[1:] {
+	// Merge copies what it takes from its argument, so folding into an
+	// empty partial on the first probe's grid never aliases live state.
+	out := &rollup.Partial{Cfg: a.probes[ids[0]].part.Cfg}
+	for _, id := range ids {
 		if err := out.Merge(a.probes[id].part); err != nil {
 			return nil, fmt.Errorf("epochwire: folding probe %q: %w", id, err)
 		}
@@ -570,9 +615,7 @@ func (a *Aggregator) foldLocked() (*rollup.Partial, error) {
 // via a temp file) in snapshot format v2, so an aggd spool directory
 // is directly openable as an indexed catalog store.
 func (a *Aggregator) WriteSnapshot(path string) error {
-	a.mu.Lock()
-	b, err := a.snapshotBytesLocked()
-	a.mu.Unlock()
+	b, err := a.snapshotBytes()
 	if err != nil {
 		return err
 	}
@@ -642,17 +685,12 @@ func (a *Aggregator) StatusNow() Status {
 		if i == 0 || wm < sealed {
 			sealed = wm
 		}
-		if wm > lead {
-			lead = wm
-		}
+		lead = max(lead, wm)
 	}
 	for i := range st.Probes {
 		st.Probes[i].Lag = lead - unionWM[i]
 	}
-	if sealed < 0 {
-		sealed = 0
-	}
-	st.SealedThrough = sealed
+	st.SealedThrough = max(sealed, 0)
 	return st
 }
 
@@ -715,11 +753,7 @@ type ctlBackend struct{ a *Aggregator }
 
 func (b ctlBackend) Status() (any, error) { return b.a.StatusNow(), nil }
 
-func (b ctlBackend) Snapshot() ([]byte, error) {
-	b.a.mu.Lock()
-	defer b.a.mu.Unlock()
-	return b.a.snapshotBytesLocked()
-}
+func (b ctlBackend) Snapshot() ([]byte, error) { return b.a.snapshotBytes() }
 
 func (b ctlBackend) View(spec rollup.ViewSpec) (*rollup.Partial, error) {
 	b.a.mu.Lock()
@@ -731,105 +765,59 @@ func (b ctlBackend) View(spec rollup.ViewSpec) (*rollup.Partial, error) {
 	return spec.Apply(part)
 }
 
-// --- state persistence --------------------------------------------------
+// --- state log ----------------------------------------------------------
 //
-// The state file is what makes aggregator restarts invisible to the
-// conformance bar: cursors and partials survive, probes resume from
-// their durable seq, and nothing is double-counted.
-//
-//	magic "EPWSTAT" + version byte 1
-//	base-config flag byte (0/1), then config blob (uvarint len + bytes)
-//	probe count uvarint, then per probe:
-//	  id string, incarnation 8B BE, applied uvarint, watermark uvarint,
-//	  fin byte, config blob, partial flag byte + snapshot blob
-//	crc32 (IEEE) of everything before it, 4B BE
+// The state file is the accepted input, kept (DESIGN.md §10): logHeader,
+// then wire frames in the order they were applied — 'H' records whose
+// payload is a Hello, and the 'E'/'F' messages as they arrived. A message
+// carries no probe ID; the nearest 'H' before it names its stream.
+// Restarting is replaying the records through admit and fold.
 
-var stateMagic = []byte("EPWSTAT")
+const (
+	logHeader = "EPWLOG\x01" // magic + format version
+	recHello  = 'H'
+	logTypes  = "HEF"
+)
 
-const stateVersion = 1
+// logLocked appends what was just admitted (m == nil) or folded for ps
+// to the uncommitted tail: ps's hello if it is new or the log's last
+// record belongs to another probe, then m. Caller holds mu.
+func (a *Aggregator) logLocked(ps *probeState, m *Message) {
+	if a.log == nil {
+		return
+	}
+	if m == nil || a.cur != ps {
+		a.tail, a.cur = append(a.tail, ps.hello...), ps
+	}
+	if m != nil {
+		a.tail = appendMessage(a.tail, m)
+	}
+}
 
-// persistLocked rewrites the state file. Caller holds mu. On success
-// every probe's durable cursor catches up to its applied cursor.
-func (a *Aggregator) persistLocked() error {
-	if a.cfg.StatePath == "" {
-		for _, ps := range a.probes {
-			ps.durable = ps.applied // no file: "durable" is in-memory
-		}
-		a.dirty = 0
-		return nil
-	}
-	buf := &a.stateBuf
-	buf.Reset()
-	buf.Write(stateMagic)
-	buf.WriteByte(stateVersion)
-	if a.haveBase {
-		buf.WriteByte(1)
-		blob, err := EncodeConfig(a.base)
-		if err != nil {
+// commitLocked makes the tail durable — written at the committed
+// offset, then fsynced — and only then lets every durable cursor catch
+// up to its applied cursor. On failure the tail stays in memory and the
+// next commit writes it again from the same offset before syncing: a
+// failed fsync may have dropped the pages of the write before it. The
+// commit that creates the log syncs its directory too; with no state
+// file "durable" is in-memory. Caller holds mu.
+func (a *Aggregator) commitLocked() error {
+	if len(a.tail) > 0 {
+		if _, err := a.log.WriteAt(a.tail, a.committed); err != nil {
 			return err
 		}
-		if err := capture.WriteString(buf, string(blob)); err != nil {
+		if err := a.log.Sync(); err != nil {
 			return err
 		}
-	} else {
-		buf.WriteByte(0)
-	}
-	ids := make([]string, 0, len(a.probes))
-	for id := range a.probes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	if err := capture.WriteUvarint(buf, uint64(len(ids))); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		ps := a.probes[id]
-		if err := capture.WriteString(buf, id); err != nil {
-			return err
-		}
-		var i64 [8]byte
-		binary.BigEndian.PutUint64(i64[:], ps.incarnation)
-		buf.Write(i64[:])
-		if err := capture.WriteUvarint(buf, ps.applied); err != nil {
-			return err
-		}
-		if err := capture.WriteUvarint(buf, ps.watermark); err != nil {
-			return err
-		}
-		if ps.fin {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-		blob, err := EncodeConfig(ps.cfg)
-		if err != nil {
-			return err
-		}
-		if err := capture.WriteString(buf, string(blob)); err != nil {
-			return err
-		}
-		if ps.part == nil {
-			buf.WriteByte(0)
-		} else {
-			buf.WriteByte(1)
-			pbuf := &a.partBuf
-			pbuf.Reset()
-			if err := rollup.Write(pbuf, ps.part); err != nil {
+		if a.committed == 0 {
+			if err := a.cfg.FS.SyncDir(filepath.Dir(a.cfg.StatePath)); err != nil {
 				return err
 			}
-			if err := capture.WriteUvarint(buf, uint64(pbuf.Len())); err != nil {
-				return err
-			}
-			buf.Write(pbuf.Bytes())
 		}
+		a.committed += int64(len(a.tail))
+		a.tail = a.tail[:0]
+		a.metrics.Persists.Inc()
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	if err := atomicWrite(a.cfg.FS, a.cfg.StatePath, buf.Bytes()); err != nil {
-		return err
-	}
-	a.metrics.Persists.Inc()
 	for _, ps := range a.probes {
 		ps.durable = ps.applied
 	}
@@ -837,111 +825,98 @@ func (a *Aggregator) persistLocked() error {
 	return nil
 }
 
-func (a *Aggregator) loadState() error {
+// openLog replays the state file and opens it for appending; a new
+// log's header waits in the tail for the first commit.
+func (a *Aggregator) openLog() error {
+	start := time.Now()
 	raw, err := a.cfg.FS.ReadFile(a.cfg.StatePath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
+	records, end, err := a.replay(raw)
 	if err != nil {
+		return fmt.Errorf("epochwire: state log %s: %w", a.cfg.StatePath, err)
+	}
+	if a.log, err = a.cfg.FS.OpenFile(a.cfg.StatePath, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
 		return err
 	}
-	if len(raw) < len(stateMagic)+1+4 {
-		return fmt.Errorf("epochwire: state file %s truncated", a.cfg.StatePath)
-	}
-	body, crc := raw[:len(raw)-4], raw[len(raw)-4:]
-	sum := crc32.ChecksumIEEE(body)
-	if binary.BigEndian.Uint32(crc) != sum {
-		return fmt.Errorf("epochwire: state file %s CRC mismatch", a.cfg.StatePath)
-	}
-	r := bufio.NewReader(bytes.NewReader(body))
-	var magic [7]byte
-	if err := capture.ReadFull(r, magic[:], "state magic"); err != nil {
+	if err := a.log.Truncate(end); err != nil {
+		a.log.Close()
 		return err
 	}
-	if !bytes.Equal(magic[:], stateMagic) {
-		return fmt.Errorf("epochwire: %s is not an aggregator state file", a.cfg.StatePath)
+	if a.committed = end; end == 0 {
+		a.tail = append(a.tail, logHeader...)
 	}
-	ver, err := r.ReadByte()
-	if err != nil {
-		return err
-	}
-	if ver != stateVersion {
-		return fmt.Errorf("epochwire: state file version %d, want %d", ver, stateVersion)
-	}
-	haveBase, err := r.ReadByte()
-	if err != nil {
-		return err
-	}
-	if haveBase == 1 {
-		blob, err := capture.ReadStringLimited(r, MaxConfigBlob, "state base config")
-		if err != nil {
-			return err
-		}
-		if a.base, err = DecodeConfig([]byte(blob)); err != nil {
-			return err
-		}
-		a.haveBase = true
-	}
-	n, err := capture.ReadUvarint(r, 1<<16, "state probe count")
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		id, err := capture.ReadStringLimited(r, MaxProbeID, "state probe ID")
-		if err != nil {
-			return err
-		}
-		ps := &probeState{}
-		var i64 [8]byte
-		if err := capture.ReadFull(r, i64[:], "state incarnation"); err != nil {
-			return err
-		}
-		ps.incarnation = binary.BigEndian.Uint64(i64[:])
-		if ps.applied, err = capture.ReadUvarint(r, ^uint64(0)>>1, "state applied"); err != nil {
-			return err
-		}
-		ps.durable = ps.applied // the file is the definition of durable
-		if ps.watermark, err = capture.ReadUvarint(r, rollup.MaxBins+1, "state watermark"); err != nil {
-			return err
-		}
-		fin, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		ps.fin = fin == 1
-		blob, err := capture.ReadStringLimited(r, MaxConfigBlob, "state probe config")
-		if err != nil {
-			return err
-		}
-		if ps.cfg, err = DecodeConfig([]byte(blob)); err != nil {
-			return err
-		}
-		havePart, err := r.ReadByte()
-		if err != nil {
-			return err
-		}
-		if havePart == 1 {
-			pb, err := capture.ReadStringLimited(r, MaxBlob, "state probe partial")
-			if err != nil {
-				return err
-			}
-			if ps.part, err = rollup.Read(strings.NewReader(pb)); err != nil {
-				return fmt.Errorf("epochwire: state partial for probe %q: %w", id, err)
-			}
-			// Reseed the conservation gauges: counters reset with the
-			// process, but applied bytes are state, not history.
-			ps.appliedBytes = ps.part.CellTotals()
-			for d := range ps.appliedBytes {
-				a.metrics.AppliedBytes[d].Add(int64(ps.appliedBytes[d]))
-			}
-		}
-		a.probes[id] = ps
-		a.registerProbeFuncsLocked(id, ps)
-	}
-	if r.Buffered() > 0 {
-		return fmt.Errorf("epochwire: trailing bytes in state file %s", a.cfg.StatePath)
+	a.cfg.Logf("epochwire: state log: replayed %d records (%d bytes) in %v", records, end, time.Since(start))
+	if torn := int64(len(raw)) - end; torn > 0 {
+		a.cfg.Logf("epochwire: state log: dropped %d bytes of a torn final record", torn)
 	}
 	return nil
+}
+
+// replay feeds the log's records to admit and fold — the code the
+// network feeds — and returns how many there were and where the log
+// ends. A record that is complete but does not verify, parse or follow
+// from the ones before it is an error naming its offset; only a final
+// record cut short (an append torn by a crash) is the log's end, and
+// end is then where it starts.
+func (a *Aggregator) replay(raw []byte) (records int, end int64, err error) {
+	switch {
+	case bytes.HasPrefix(raw, []byte(logHeader)):
+	case strings.HasPrefix(logHeader, string(raw)):
+		return 0, 0, nil // no file yet, or a crash before the header landed
+	case bytes.HasPrefix(raw, []byte("EPWSTAT")):
+		return 0, 0, fmt.Errorf("written by an older build as one whole-state image, which this build cannot read: finish that run with the build that started it, or start on a new path")
+	default:
+		return 0, 0, fmt.Errorf("not an aggregator state log")
+	}
+	src := bytes.NewReader(raw[len(logHeader):])
+	br := bufio.NewReader(src)
+	for ; ; records++ {
+		end = int64(len(raw) - src.Len() - br.Buffered())
+		typ, payload, err := readFrame(br, logTypes)
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return records, end, nil
+		}
+		if err == nil {
+			err = a.replayRecord(typ, payload)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("record %d at offset %d: %w", records, end, err)
+		}
+	}
+}
+
+// replayRecord applies one verified record: a hello is admitted and
+// becomes the current stream, a message is folded into it.
+func (a *Aggregator) replayRecord(typ byte, payload []byte) error {
+	if typ == recHello {
+		br := bufio.NewReader(bytes.NewReader(payload))
+		h, err := ReadHello(br)
+		if err == nil && br.Buffered() > 0 {
+			err = fmt.Errorf("%d bytes after the hello", br.Buffered())
+		}
+		if err == nil {
+			a.cur, _, err = a.admit(h)
+		}
+		return err
+	}
+	m, err := parseMessage(typ, payload)
+	if err != nil {
+		return err
+	}
+	if a.cur == nil {
+		return fmt.Errorf("%q message before any hello", typ)
+	}
+	part, err := decodeBlob(m)
+	if err != nil {
+		return err
+	}
+	dup, err := a.fold(a.cur, m, part)
+	if dup {
+		return fmt.Errorf("seq %d again after %d", m.Seq, a.cur.applied) // apply never logs a duplicate
+	}
+	return err
 }
 
 // atomicWrite writes data to path durably: temp file, write, fsync,
@@ -951,9 +926,6 @@ func (a *Aggregator) loadState() error {
 // power loss — the invariant every durability point of this package
 // leans on.
 func atomicWrite(fs chaos.FS, path string, data []byte) error {
-	if fs == nil {
-		fs = chaos.OS
-	}
 	tmp := path + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -3,11 +3,17 @@ package epochwire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/rollup"
 )
 
@@ -242,16 +248,16 @@ func TestAggregatorKillsSequenceGap(t *testing.T) {
 // TestAggregatorHandshakePersistSurvivesRestart pins a state-poisoning
 // bug the convergence oracle caught: the handshake's incarnation-reset
 // persist ran before the probe's config was recorded, so a state file
-// whose *last successful* persist was that handshake one (every later
-// persist failing — a dying disk, or chaos) held a zero config the
-// next start refused to load. Here the handshake persist is the only
-// one that succeeds (the chaos crash latch eats every later sync, the
-// shutdown persist included), and a fresh aggregator must still start
-// from that file.
+// whose *last* persist was that handshake one (every later persist
+// failing — a dying disk, or chaos) held a zero config the next start
+// refused to load. Here the handshake's record is the last thing that
+// reaches the log (the chaos crash latch eats its sync and every later
+// one, the shutdown commit included), and a fresh aggregator must still
+// start from that file.
 func TestAggregatorHandshakePersistSurvivesRestart(t *testing.T) {
 	cfg := testConfig()
 	state := filepath.Join(t.TempDir(), "agg.state")
-	in := chaos.CrashAt("aggd.state", "sync", 1) // sync #0 = handshake persist
+	in := chaos.CrashAt("aggd.state", "sync", 1) // sync #0 = the new log's header, #1 = the handshake commit
 	a1, err := NewAggregator("127.0.0.1:0", "", AggConfig{
 		StatePath: state, PersistEvery: 1,
 		FS: in.FS("aggd.state", chaos.OS),
@@ -260,7 +266,7 @@ func TestAggregatorHandshakePersistSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dialProbe(t, a1.Addr(), "north", 7, cfg)
-	a1.Stop() // its persist hits the crash latch and is dropped
+	a1.Stop() // its commit retry hits the crash latch and is dropped
 	if !in.Crashed() {
 		t.Fatal("the shutdown persist never reached the crash point")
 	}
@@ -272,5 +278,101 @@ func TestAggregatorHandshakePersistSurvivesRestart(t *testing.T) {
 	p := dialProbe(t, a2.Addr(), "north", 7, cfg)
 	if p.wl.Durable != 0 {
 		t.Fatalf("recovered probe welcomed with durable %d, want 0", p.wl.Durable)
+	}
+}
+
+// TestAggregatorRejectsForgedProbeID: a probe ID is spliced into metric
+// labels, log lines and the state log, so one that could close a label
+// and forge an exposition line is refused at the door — with a reason,
+// before any state or gauge exists for it.
+func TestAggregatorRejectsForgedProbeID(t *testing.T) {
+	leakcheck.Check(t)
+	reg := obs.NewRegistry()
+	a := startAgg(t, AggConfig{Registry: reg})
+	const forged = "a\"} 1\nx{y=\""
+	// No writer in the package emits this hello; build it by hand.
+	blob := mustEncodeConfig(t, testConfig())
+	b := append(append([]byte(nil), helloMagic[:]...), Version)
+	b = binary.BigEndian.AppendUint64(appendString(b, forged), 7)
+	b = appendCRC(appendString(b, string(blob)), 0)
+	if _, err := ReadHello(bufio.NewReader(bytes.NewReader(b))); err == nil {
+		t.Fatal("ReadHello accepted the forged ID")
+	}
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	wl, err := ReadWelcome(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(wl.Reject, "invalid probe ID") {
+		t.Fatalf("forged ID answered with %+v, want a rejection naming the ID rule", wl)
+	}
+	if n := len(a.StatusNow().Probes); n != 0 {
+		t.Fatalf("%d probes have state after the rejected handshake", n)
+	}
+	if got := a.metrics.Rejects.Load(); got != 1 {
+		t.Fatalf("aggd_handshake_rejects_total = %d, want 1", got)
+	}
+	var prom bytes.Buffer
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`^(# (HELP|TYPE) [a-z_]+ .+|[a-z_]+(\{[a-z]+="[A-Za-z0-9._+-]*"(,[a-z]+="[A-Za-z0-9._+-]*")*\})? -?[0-9]+)$`)
+	for _, l := range strings.Split(strings.TrimSuffix(prom.String(), "\n"), "\n") {
+		if !line.MatchString(l) || strings.Contains(l, "aggd_probe_") {
+			t.Fatalf("scrape after the attempt has the line %q", l)
+		}
+	}
+	for _, id := range []string{"", "a b", "a/b", "é", strings.Repeat("x", MaxProbeID+1)} {
+		if err := WriteHello(&bytes.Buffer{}, &Hello{ProbeID: id, Cfg: testConfig()}); err == nil {
+			t.Errorf("WriteHello accepted probe ID %q", id)
+		}
+		if _, err := NewShipper(ShipperConfig{ProbeID: id, SpoolPath: filepath.Join(t.TempDir(), "s")}); err == nil {
+			t.Errorf("NewShipper accepted probe ID %q", id)
+		}
+	}
+	if err := checkProbeID("north-2.eu_West"); err != nil {
+		t.Errorf("a plain ID is refused: %v", err)
+	}
+}
+
+// TestAggregatorBoundsProbeIDs: every new ID costs state, gauges and a
+// log record, and any peer can invent one — so admission counts them,
+// for a handshake and for the log's replay alike.
+func TestAggregatorBoundsProbeIDs(t *testing.T) {
+	leakcheck.Check(t)
+	defer func(n int) { maxProbes = n }(maxProbes)
+	maxProbes = 3
+	cfg := testConfig()
+	state := filepath.Join(t.TempDir(), "agg.state")
+	a := startAgg(t, AggConfig{StatePath: state})
+	for i := 0; i < 3; i++ {
+		if p := dialProbe(t, a.Addr(), fmt.Sprintf("probe-%d", i), 7, cfg); p.wl.Reject != "" {
+			t.Fatalf("probe %d of 3 rejected: %s", i, p.wl.Reject)
+		}
+	}
+	if p := dialProbe(t, a.Addr(), "probe-3", 7, cfg); !strings.Contains(p.wl.Reject, "limit") {
+		t.Fatalf("a fourth probe ID under a limit of 3 answered with %+v", p.wl)
+	}
+	if got := a.metrics.Rejects.Load(); got != 1 {
+		t.Fatalf("aggd_handshake_rejects_total = %d, want 1", got)
+	}
+	if n := len(a.StatusNow().Probes); n != 3 {
+		t.Fatalf("%d probes have state, want 3", n)
+	}
+	// A known ID is not a new one: reconnects and restarts stay welcome.
+	if p := dialProbe(t, a.Addr(), "probe-1", 8, cfg); p.wl.Reject != "" {
+		t.Fatalf("known probe rejected at the limit: %s", p.wl.Reject)
+	}
+	a.Stop()
+	maxProbes = 2
+	if _, err := NewAggregator("127.0.0.1:0", "", AggConfig{StatePath: state}); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("replaying three probes under a limit of two: %v", err)
 	}
 }

@@ -336,18 +336,18 @@ func TestConvergenceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestAggregatorCrashBetweenWriteAndRename pins the durability fix at
-// the state-persistence point: the aggregator's state file is written
-// to a temp path, fsynced, and renamed into place — so a crash landing
-// exactly between the write and the rename (chaos.CrashAt tears the
-// rename: the old file survives, the new one never appears) leaves a
-// consistent previous state. The restarted aggregator resumes from
-// that durable cursor, the probes replay the gap from their spools,
-// and the aggregate still comes out byte-identical.
-func TestAggregatorCrashBetweenWriteAndRename(t *testing.T) {
+// TestAggregatorCrashMidStateWrite pins the durability point of the
+// state log: a commit is a write of the uncommitted tail followed by an
+// fsync, so a crash landing inside the write (chaos.CrashAt tears it:
+// half the bytes reach the file, and every later write is torn the same
+// way) leaves the committed prefix intact plus a torn final record.
+// The restarted aggregator replays the complete records, drops the
+// torn one, resumes from that durable cursor, the probes replay the gap
+// from their spools, and the aggregate still comes out byte-identical.
+func TestAggregatorCrashMidStateWrite(t *testing.T) {
 	leakcheck.Check(t)
 	fx := chaosWorkload(t)
-	in := chaos.CrashAt("aggd.state", "rename", 3)
+	in := chaos.CrashAt("aggd.state", "write", 3)
 	state := filepath.Join(t.TempDir(), "agg.state")
 	a1, err := epochwire.NewAggregator("127.0.0.1:0", "", epochwire.AggConfig{
 		Probes:       len(fx.probes),
@@ -390,22 +390,22 @@ func TestAggregatorCrashBetweenWriteAndRename(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for !in.Crashed() {
 		if time.Now().After(deadline) {
-			t.Fatal("the armed rename crash point never fired")
+			t.Fatal("the armed write crash point never fired")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	a1.Stop()
 
-	// The pre-crash state file must still be loadable — that is the
-	// whole point of the temp-write/rename discipline — and the
-	// restarted aggregator finishes the run exactly.
+	// The torn state log must still be loadable — that is the whole
+	// point of the torn-tail rule — and the restarted aggregator
+	// finishes the run exactly.
 	a2, err := epochwire.NewAggregator(addr, "", epochwire.AggConfig{
 		Probes:       len(fx.probes),
 		StatePath:    state,
 		PersistEvery: 4,
 	})
 	if err != nil {
-		t.Fatalf("restart after torn rename: %v", err)
+		t.Fatalf("restart after torn write: %v", err)
 	}
 	t.Cleanup(a2.Stop)
 	for range fx.probes {

@@ -89,8 +89,8 @@ type AggMetrics struct {
 	Duplicates        *obs.Counter // aggd_duplicate_messages_total: retransmits acked without re-folding
 	SeqGaps           *obs.Counter // aggd_sequence_gaps_total: connections killed by a sequence gap
 	IncarnationResets *obs.Counter // aggd_incarnation_resets_total: probe streams discarded and replayed
-	Persists          *obs.Counter // aggd_persists_total: state file rewrites
-	PersistErrors     *obs.Counter // aggd_persist_errors_total: state rewrites that failed (retried later)
+	Persists          *obs.Counter // aggd_persists_total: state log commits
+	PersistErrors     *obs.Counter // aggd_persist_errors_total: state log commits that failed (retried later)
 	ConnPanics        *obs.Counter // aggd_conn_panics_total: probe handlers recovered from a panic
 	// AppliedBytes is aggd_applied_cell_bytes{dir=...}: cell bytes
 	// across live per-probe partials (a gauge — incarnation resets
@@ -102,14 +102,14 @@ type AggMetrics struct {
 func newAggMetrics(reg *obs.Registry) *AggMetrics {
 	m := &AggMetrics{
 		Conns:             reg.Counter("aggd_connections_total", "Probe connections accepted."),
-		Rejects:           reg.Counter("aggd_handshake_rejects_total", "Handshakes rejected (version or grid mismatch)."),
+		Rejects:           reg.Counter("aggd_handshake_rejects_total", "Handshakes rejected (version or grid mismatch, invalid probe ID, too many probe IDs)."),
 		EpochsApplied:     reg.Counter("aggd_epochs_applied_total", "Epoch messages folded into per-probe partials."),
 		FinsApplied:       reg.Counter("aggd_fins_total", "Fin messages applied."),
 		Duplicates:        reg.Counter("aggd_duplicate_messages_total", "Retransmitted messages acknowledged without re-folding."),
 		SeqGaps:           reg.Counter("aggd_sequence_gaps_total", "Connections killed by a sequence gap."),
 		IncarnationResets: reg.Counter("aggd_incarnation_resets_total", "Probe streams discarded for a new incarnation."),
-		Persists:          reg.Counter("aggd_persists_total", "State file rewrites."),
-		PersistErrors:     reg.Counter("aggd_persist_errors_total", "State file rewrites that failed; the durable cursor lags until a retry lands."),
+		Persists:          reg.Counter("aggd_persists_total", "State log commits: one write of the records accepted since the last, one fsync."),
+		PersistErrors:     reg.Counter("aggd_persist_errors_total", "State log commits that failed; the durable cursor lags until a retry lands."),
 		ConnPanics:        reg.Counter("aggd_conn_panics_total", "Probe connection handlers that recovered from a panic."),
 	}
 	for d := services.Direction(0); d < services.NumDirections; d++ {
@@ -164,7 +164,7 @@ func CheckScrapeConservation(scrape []byte, w io.Writer) error {
 // aggregator state: it takes a.mu at scrape time (the registry
 // evaluates callbacks outside its own lock).
 func (a *Aggregator) lockedGauge(name, help string, get func() int64) {
-	a.reg.GaugeFunc(name, help, func() int64 {
+	a.cfg.Registry.GaugeFunc(name, help, func() int64 {
 		a.mu.Lock()
 		defer a.mu.Unlock()
 		return get()
@@ -172,8 +172,12 @@ func (a *Aggregator) lockedGauge(name, help string, get func() int64) {
 }
 
 // registerAggFuncs registers the aggregator's computed gauges: probe
-// population and the fold side of the conservation invariant.
+// population, the state log's size and the fold side of the
+// conservation invariant.
 func (a *Aggregator) registerAggFuncs() {
+	a.lockedGauge("aggd_state_log_bytes", "Committed length of the state log; it grows with every message accepted and is never compacted.", func() int64 {
+		return a.committed
+	})
 	a.lockedGauge("aggd_probes_known", "Probe IDs with aggregator state.", func() int64 {
 		return int64(len(a.probes))
 	})
@@ -205,7 +209,7 @@ func (a *Aggregator) registerProbeFuncsLocked(id string, ps *probeState) {
 	a.lockedGauge("aggd_probe_applied_seq"+label, "Highest sequence folded for this probe.", func() int64 {
 		return int64(ps.applied)
 	})
-	a.lockedGauge("aggd_probe_durable_seq"+label, "Highest sequence persisted for this probe.", func() int64 {
+	a.lockedGauge("aggd_probe_durable_seq"+label, "Highest sequence committed to the state log for this probe.", func() int64 {
 		return int64(ps.durable)
 	})
 	a.lockedGauge("aggd_probe_watermark"+label, "This probe's sealed watermark on its own grid.", func() int64 {

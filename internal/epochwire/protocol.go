@@ -17,22 +17,24 @@
 //
 // A session opens with a handshake:
 //
-//	probe → agg   Hello: magic "EPWR", version byte, probe ID string,
-//	              incarnation (8 bytes BE, random per process), grid
-//	              config as a zero-epoch snapshot blob (uvarint length
-//	              + bytes), CRC32-IEEE of all the above (4 bytes BE)
+//	probe → agg   Hello: magic "EPWR", version byte, probe ID string
+//	              (1..128 bytes of [A-Za-z0-9._-]), incarnation (8
+//	              bytes BE, random per process), grid config as a
+//	              zero-epoch snapshot blob (uvarint length + bytes),
+//	              CRC32-IEEE of all the above (4 bytes BE)
 //	agg → probe   Welcome: magic "EPWR", version byte, status byte
 //	              (0 = accepted: durable-cursor uvarint follows;
 //	              1 = rejected: reason string follows, conn closes),
 //	              CRC32-IEEE trailer as in Hello
 //
-// The aggregator rejects a version it does not speak and a grid that
-// is not union-compatible with the grids it already aggregates (same
-// step and geography, start a whole number of steps apart). The
-// durable cursor is the highest message sequence number of this probe
-// incarnation the aggregator has durably applied: the probe resumes
-// from the next one, which is what makes reconnects — and aggregator
-// restarts from a state file — exactly-once.
+// The aggregator rejects a version it does not speak, a probe ID with
+// any other byte in it, and a grid that is not union-compatible with
+// the grids it already aggregates (same step and geography, start a
+// whole number of steps apart). The durable cursor is the highest
+// message sequence number of this probe incarnation the aggregator has
+// durably applied: the probe resumes from the next one, which is what
+// makes reconnects — and aggregator restarts from a state file —
+// exactly-once.
 //
 // After the handshake both directions speak length-prefixed messages,
 // each closed by a CRC32-IEEE trailer over the type, length, and
@@ -53,7 +55,7 @@
 //	            carrying the run's totals and counters. Sent once,
 //	            after every epoch of the run.
 //	'A' ack     agg → probe; payload = seq uvarint (applied), durable
-//	            uvarint (highest seq persisted to the state file — the
+//	            uvarint (highest seq committed to the state log — the
 //	            probe may prune its spool through it).
 //	'P' ping    probe → agg, empty payload; 'O' pong answers it with a
 //	            durable uvarint, so an idle session still learns when a
@@ -77,6 +79,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strings"
 
 	"repro/internal/capture"
 	"repro/internal/rollup"
@@ -99,6 +102,10 @@ const (
 	MsgPing  = 'P'
 	MsgPong  = 'O'
 )
+
+// wireTypes is every message type a connection carries after the
+// handshake.
+const wireTypes = "EFAPO"
 
 // Decoder limits: every declared size is checked before allocation
 // (the capture/rollup untrusted-input discipline — the aggregator
@@ -134,50 +141,45 @@ type Message struct {
 	Blob []byte
 }
 
-// WriteMessage frames and writes m as a single Write call.
-func WriteMessage(w io.Writer, m *Message) error {
-	var payload bytes.Buffer
+// appendFrame appends one [type][uvarint length][payload][crc32] frame
+// to dst, the payload being head then body. It is the only frame
+// encoder, for the wire's messages and the state log's records alike.
+func appendFrame(dst []byte, typ byte, head, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ)
+	dst = binary.AppendUvarint(dst, uint64(len(head)+len(body)))
+	return appendCRC(append(append(dst, head...), body...), start)
+}
+
+// appendMessage appends m's frame to dst. m is a message WriteMessage
+// would accept (a known type, a blob within MaxBlob).
+func appendMessage(dst []byte, m *Message) []byte {
+	head := make([]byte, 0, 3*binary.MaxVarintLen64)
+	var blob []byte
 	switch m.Type {
 	case MsgEpoch, MsgFin:
-		if err := capture.WriteUvarint(&payload, m.Seq); err != nil {
-			return err
-		}
-		if err := capture.WriteUvarint(&payload, m.Watermark); err != nil {
-			return err
-		}
-		if len(m.Blob) > MaxBlob {
-			return fmt.Errorf("epochwire: %d-byte epoch blob exceeds the %d-byte limit", len(m.Blob), MaxBlob)
-		}
-		if err := capture.WriteUvarint(&payload, uint64(len(m.Blob))); err != nil {
-			return err
-		}
-		payload.Write(m.Blob)
+		head = binary.AppendUvarint(head, m.Seq)
+		head = binary.AppendUvarint(head, m.Watermark)
+		head = binary.AppendUvarint(head, uint64(len(m.Blob)))
+		blob = m.Blob
 	case MsgAck:
-		if err := capture.WriteUvarint(&payload, m.Seq); err != nil {
-			return err
-		}
-		if err := capture.WriteUvarint(&payload, m.Durable); err != nil {
-			return err
-		}
+		head = binary.AppendUvarint(head, m.Seq)
+		head = binary.AppendUvarint(head, m.Durable)
 	case MsgPong:
-		if err := capture.WriteUvarint(&payload, m.Durable); err != nil {
-			return err
-		}
-	case MsgPing:
-		// Empty payload.
-	default:
+		head = binary.AppendUvarint(head, m.Durable)
+	}
+	return appendFrame(dst, m.Type, head, blob)
+}
+
+// WriteMessage frames and writes m as a single Write call.
+func WriteMessage(w io.Writer, m *Message) error {
+	if strings.IndexByte(wireTypes, m.Type) < 0 {
 		return fmt.Errorf("epochwire: unknown message type %q", m.Type)
 	}
-	var frame bytes.Buffer
-	frame.WriteByte(m.Type)
-	if err := capture.WriteUvarint(&frame, uint64(payload.Len())); err != nil {
-		return err
+	if len(m.Blob) > MaxBlob {
+		return fmt.Errorf("epochwire: %d-byte epoch blob exceeds the %d-byte limit", len(m.Blob), MaxBlob)
 	}
-	payload.WriteTo(&frame)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(frame.Bytes()))
-	frame.Write(crc[:])
-	_, err := w.Write(frame.Bytes())
+	_, err := w.Write(appendMessage(nil, m))
 	return err
 }
 
@@ -226,36 +228,48 @@ func readCRCTrailer(r *bufio.Reader, cr *crcReader, what string) error {
 	return nil
 }
 
-// ReadMessage reads one framed message. Declared lengths are checked
-// against the package limits before allocation; a stream that ends
-// mid-message errors with io.ErrUnexpectedEOF, and a payload that does
-// not parse to exactly its declared length is a framing error. The
-// payload is read whole (through the CRC) and parsed from the slice;
-// an epoch's Blob aliases it.
-func ReadMessage(r *bufio.Reader) (*Message, error) {
+// readFrame reads one frame and verifies its CRC — the only frame
+// decoder, under the wire and under the state log alike. A type not in
+// accept is refused before its payload is buffered, a declared length
+// is checked against the package limits before allocation; a stream
+// that ends between frames is io.EOF, inside one io.ErrUnexpectedEOF.
+func readFrame(r *bufio.Reader, accept string) (byte, []byte, error) {
 	cr := &crcReader{r: r}
 	typ, err := cr.ReadByte()
 	if err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF // clean close between messages
+			return 0, nil, io.EOF // clean close between messages
 		}
-		return nil, fmt.Errorf("epochwire: reading message type: %w", err)
+		return 0, nil, fmt.Errorf("epochwire: reading message type: %w", err)
 	}
 	n, err := capture.ReadUvarint(cr, MaxPayload, "epochwire message length")
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	switch typ {
-	case MsgEpoch, MsgFin, MsgAck, MsgPong, MsgPing:
-	default:
-		// Before the payload: an unknown type buys no buffering.
-		return nil, fmt.Errorf("epochwire: unknown message type 0x%02x", typ)
+	if strings.IndexByte(accept, typ) < 0 {
+		return 0, nil, fmt.Errorf("epochwire: unknown message type 0x%02x", typ)
 	}
-	rest, err := readAll(cr, n, "epochwire message payload")
+	payload, err := readAll(cr, n, "epochwire message payload")
+	if err != nil {
+		return 0, nil, err
+	}
+	return typ, payload, readCRCTrailer(r, cr, "epochwire message")
+}
+
+// ReadMessage reads one framed message. A payload that does not parse
+// to exactly its declared length is a framing error; an epoch's Blob
+// aliases the payload.
+func ReadMessage(r *bufio.Reader) (*Message, error) {
+	typ, payload, err := readFrame(r, wireTypes)
 	if err != nil {
 		return nil, err
 	}
-	m := &Message{Type: typ}
+	return parseMessage(typ, payload)
+}
+
+// parseMessage decodes a frame's payload as the message its type names.
+func parseMessage(typ byte, rest []byte) (m *Message, err error) {
+	m = &Message{Type: typ}
 	switch typ {
 	case MsgEpoch, MsgFin:
 		if m.Seq, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire seq"); err != nil {
@@ -283,14 +297,9 @@ func ReadMessage(r *bufio.Reader) (*Message, error) {
 		if m.Durable, rest, err = cutUvarint(rest, ^uint64(0)>>1, "epochwire pong durable"); err != nil {
 			return nil, err
 		}
-	case MsgPing:
-		// Empty payload.
 	}
 	if len(rest) > 0 {
 		return nil, fmt.Errorf("epochwire: message payload longer than its %q content", typ)
-	}
-	if err := readCRCTrailer(r, cr, "epochwire message"); err != nil {
-		return nil, err
 	}
 	return m, nil
 }
@@ -342,31 +351,61 @@ type Hello struct {
 	Cfg         rollup.Config
 }
 
-// WriteHello writes the handshake opener.
-func WriteHello(w io.Writer, h *Hello) error {
-	if len(h.ProbeID) == 0 || len(h.ProbeID) > MaxProbeID {
-		return fmt.Errorf("epochwire: probe ID must be 1..%d bytes, got %d", MaxProbeID, len(h.ProbeID))
+// errProbeID marks a probe ID outside what the plane accepts. IDs end
+// up in metric labels, log lines and the state log, so they are 1 to
+// MaxProbeID bytes of [A-Za-z0-9._-] and nothing else.
+var errProbeID = errors.New("epochwire: invalid probe ID")
+
+// checkProbeID is the one probe ID validator: the shipper runs it before
+// dialing, both ends of the handshake run it on the hello.
+func checkProbeID(id string) error {
+	if len(id) == 0 || len(id) > MaxProbeID {
+		return fmt.Errorf("%w: must be 1..%d bytes, got %d", errProbeID, MaxProbeID, len(id))
+	}
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return fmt.Errorf("%w %q: only letters, digits, '.', '_' and '-' are allowed", errProbeID, id)
+		}
+	}
+	return nil
+}
+
+// appendString appends s in the tree's string encoding (capture's):
+// uvarint length, then the bytes.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// appendCRC closes a frame or handshake half: the CRC32-IEEE of
+// dst[from:], 4 bytes BE.
+func appendCRC(dst []byte, from int) []byte {
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[from:]))
+}
+
+// appendHello appends the encoded handshake opener to dst.
+func appendHello(dst []byte, h *Hello) ([]byte, error) {
+	if err := checkProbeID(h.ProbeID); err != nil {
+		return nil, err
 	}
 	blob, err := EncodeConfig(h.Cfg)
 	if err != nil {
+		return nil, err
+	}
+	from := len(dst)
+	dst = append(append(dst, helloMagic[:]...), Version)
+	dst = appendString(dst, h.ProbeID)
+	dst = binary.BigEndian.AppendUint64(dst, h.Incarnation)
+	return appendCRC(appendString(dst, string(blob)), from), nil
+}
+
+// WriteHello writes the handshake opener.
+func WriteHello(w io.Writer, h *Hello) error {
+	b, err := appendHello(nil, h)
+	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	buf.Write(helloMagic[:])
-	buf.WriteByte(Version)
-	if err := capture.WriteString(&buf, h.ProbeID); err != nil {
-		return err
-	}
-	var i64 [8]byte
-	binary.BigEndian.PutUint64(i64[:], h.Incarnation)
-	buf.Write(i64[:])
-	if err := capture.WriteString(&buf, string(blob)); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	_, err = w.Write(buf.Bytes())
+	_, err = w.Write(b)
 	return err
 }
 
@@ -379,9 +418,31 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("epochwire: peer speaks protocol version %d, this build speaks %d", e.Got, Version)
 }
 
+// readHandshakeHead reads what opens both halves of the handshake: the
+// magic, and a version byte this build speaks.
+func readHandshakeHead(cr *crcReader, what string) error {
+	var magic [4]byte
+	if err := capture.ReadFull(cr, magic[:], "epochwire "+what+" magic"); err != nil {
+		return err
+	}
+	if magic != helloMagic {
+		return fmt.Errorf("epochwire: bad %s magic %x (want %x)", what, magic, helloMagic)
+	}
+	ver, err := cr.ReadByte()
+	if err != nil {
+		return fmt.Errorf("epochwire: truncated %s version: %w", what, err)
+	}
+	if ver != Version {
+		return &VersionError{Got: ver}
+	}
+	return nil
+}
+
 // ReadHello reads and validates the handshake opener. A version
-// mismatch returns *VersionError so the server can reject with a
-// reason instead of a parse failure. Note the version check precedes
+// mismatch returns *VersionError, and a probe ID that arrived intact
+// (the CRC held) but is not one checkProbeID accepts an errProbeID, so
+// the server can reject with a reason instead of a parse failure. Note
+// the version check precedes
 // the CRC check by necessity — everything after the version byte is
 // version-dependent — so a corrupted version byte is indistinguishable
 // from a genuine mismatch; the shipper tolerates a bounded number of
@@ -389,26 +450,13 @@ func (e *VersionError) Error() string {
 // reason.
 func ReadHello(r *bufio.Reader) (*Hello, error) {
 	cr := &crcReader{r: r}
-	var magic [4]byte
-	if err := capture.ReadFull(cr, magic[:], "epochwire hello magic"); err != nil {
-		return nil, err
-	}
-	if magic != helloMagic {
-		return nil, fmt.Errorf("epochwire: bad hello magic %x (want %x)", magic, helloMagic)
-	}
-	ver, err := cr.ReadByte()
+	err := readHandshakeHead(cr, "hello")
 	if err != nil {
-		return nil, fmt.Errorf("epochwire: truncated hello version: %w", err)
-	}
-	if ver != Version {
-		return nil, &VersionError{Got: ver}
+		return nil, err
 	}
 	h := &Hello{}
 	if h.ProbeID, err = capture.ReadStringLimited(cr, MaxProbeID, "epochwire probe ID"); err != nil {
 		return nil, err
-	}
-	if len(h.ProbeID) == 0 {
-		return nil, fmt.Errorf("epochwire: empty probe ID in hello")
 	}
 	var i64 [8]byte
 	if err := capture.ReadFull(cr, i64[:], "epochwire incarnation"); err != nil {
@@ -420,6 +468,9 @@ func ReadHello(r *bufio.Reader) (*Hello, error) {
 		return nil, err
 	}
 	if err := readCRCTrailer(r, cr, "epochwire hello"); err != nil {
+		return nil, err
+	}
+	if err := checkProbeID(h.ProbeID); err != nil {
 		return nil, err
 	}
 	if h.Cfg, err = DecodeConfig([]byte(blob)); err != nil {
@@ -440,28 +491,13 @@ type Welcome struct {
 
 // WriteWelcome writes the handshake answer.
 func WriteWelcome(w io.Writer, wl *Welcome) error {
-	var buf bytes.Buffer
-	buf.Write(helloMagic[:])
-	buf.WriteByte(Version)
+	b := append(append([]byte(nil), helloMagic[:]...), Version)
 	if wl.Reject != "" {
-		buf.WriteByte(1)
-		reason := wl.Reject
-		if len(reason) > MaxReason {
-			reason = reason[:MaxReason]
-		}
-		if err := capture.WriteString(&buf, reason); err != nil {
-			return err
-		}
+		b = appendString(append(b, 1), wl.Reject[:min(len(wl.Reject), MaxReason)])
 	} else {
-		buf.WriteByte(0)
-		if err := capture.WriteUvarint(&buf, wl.Durable); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(append(b, 0), wl.Durable)
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(crc[:])
-	_, err := w.Write(buf.Bytes())
+	_, err := w.Write(appendCRC(b, 0))
 	return err
 }
 
@@ -471,19 +507,8 @@ func WriteWelcome(w io.Writer, wl *Welcome) error {
 // rather than deliver a wrong cursor.
 func ReadWelcome(r *bufio.Reader) (*Welcome, error) {
 	cr := &crcReader{r: r}
-	var magic [4]byte
-	if err := capture.ReadFull(cr, magic[:], "epochwire welcome magic"); err != nil {
+	if err := readHandshakeHead(cr, "welcome"); err != nil {
 		return nil, err
-	}
-	if magic != helloMagic {
-		return nil, fmt.Errorf("epochwire: bad welcome magic %x (want %x)", magic, helloMagic)
-	}
-	ver, err := cr.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("epochwire: truncated welcome version: %w", err)
-	}
-	if ver != Version {
-		return nil, &VersionError{Got: ver}
 	}
 	status, err := cr.ReadByte()
 	if err != nil {
@@ -518,11 +543,7 @@ func ReadWelcome(r *bufio.Reader) (*Welcome, error) {
 // policy.
 func EncodeConfig(cfg rollup.Config) ([]byte, error) {
 	var buf bytes.Buffer
-	enc, err := rollup.NewEncoder(&buf, &rollup.Partial{Cfg: cfg}, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := enc.Close(); err != nil {
+	if err := rollup.Write(&buf, &rollup.Partial{Cfg: cfg}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

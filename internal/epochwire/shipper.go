@@ -21,7 +21,8 @@ import (
 type ShipperConfig struct {
 	// Addr is the aggregator's TCP address.
 	Addr string
-	// ProbeID names this probe to the aggregator (1..MaxProbeID bytes).
+	// ProbeID names this probe to the aggregator: 1..MaxProbeID bytes
+	// of [A-Za-z0-9._-].
 	ProbeID string
 	// SpoolPath is the on-disk spool file (created/truncated).
 	SpoolPath string
@@ -103,8 +104,8 @@ type Shipper struct {
 // aggregator to discard the old partial stream rather than try to
 // splice two differently-ordered replays together.
 func NewShipper(cfg ShipperConfig) (*Shipper, error) {
-	if len(cfg.ProbeID) == 0 || len(cfg.ProbeID) > MaxProbeID {
-		return nil, fmt.Errorf("epochwire: probe ID must be 1..%d bytes", MaxProbeID)
+	if err := checkProbeID(cfg.ProbeID); err != nil {
+		return nil, err
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
