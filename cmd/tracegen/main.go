@@ -17,8 +17,8 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -35,8 +35,10 @@ import (
 )
 
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), `tracegen: persist synthetic study data for external tooling and replay
+	os.Exit(run(daemon.SignalContext("tracegen"), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+const usage = `tracegen: persist synthetic study data for external tooling and replay
 
 Modes (flag defaults below):
   (default)            write CSV aggregates of a synthetic dataset to -out
@@ -47,42 +49,53 @@ Modes (flag defaults below):
 -seed and -sessions are shared with probesim; -quiet reduces output to
 the essentials for CI use.
 
-`)
-		flag.PrintDefaults()
-	}
-	out := flag.String("out", "trace-out", "output directory (CSV mode)")
-	scale := flag.String("scale", "small", "dataset scale: small | full (CSV mode; -trace always records the small country)")
-	seed := flag.Uint64("seed", 1, "generator / simulation seed")
-	trace := flag.String("trace", "", "record a gtpsim packet capture to this binary trace file instead of CSV aggregates")
-	sessions := flag.Int("sessions", 2000, "sessions to simulate in -trace mode")
-	replay := flag.String("replay", "", "summarize a recorded binary trace and exit")
-	quiet := flag.Bool("quiet", false, "print only the essential summary line (CI mode)")
-	flag.Parse()
+`
 
-	if *replay != "" {
-		summarize(*replay, *quiet)
-		return
+// run is the whole program, returning its exit code. Cancelling ctx
+// (the first SIGINT/SIGTERM) ends a -trace recording at the frame it
+// has reached: the file is a valid, shorter trace and the exit code 0.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("tracegen", usage, stderr)
+	out := fs.String("out", "trace-out", "output directory (CSV mode)")
+	scale := fs.String("scale", "small", "dataset scale: small | full (CSV mode; -trace always records the small country)")
+	seed := fs.Uint64("seed", 1, "generator / simulation seed")
+	trace := fs.String("trace", "", "record a gtpsim packet capture to this binary trace file instead of CSV aggregates")
+	sessions := fs.Int("sessions", 2000, "sessions to simulate in -trace mode")
+	replay := fs.String("replay", "", "summarize a recorded binary trace and exit")
+	quiet := fs.Bool("quiet", false, "print only the essential summary line (CI mode)")
+	if err := daemon.Parse(fs, args); err != nil {
+		return daemon.Exit(stderr, err)
 	}
-	if *trace != "" {
-		record(*trace, *sessions, *seed, *quiet)
-		return
+	switch {
+	case *replay != "":
+		return daemon.Exit(stderr, summarize(stdout, *replay, *quiet))
+	case *trace != "":
+		return daemon.Exit(stderr, record(ctx, stdout, *trace, *sessions, *seed, *quiet))
 	}
+	return daemon.Exit(stderr, writeCSVs(stdout, *out, *scale, *seed))
+}
 
+// writeCSVs generates the synthetic dataset and persists its
+// aggregates under out.
+func writeCSVs(stdout io.Writer, out, scale string, seed uint64) error {
 	cfg := synth.SmallConfig()
-	if *scale == "full" {
+	if scale == "full" {
 		cfg = synth.DefaultConfig()
 	}
-	cfg.Seed = *seed
+	cfg.Seed = seed
 
 	ds, err := synth.Generate(cfg)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fail(err)
+	if err := os.MkdirAll(out, 0o755); err != nil {
+		return err
 	}
 
-	write(*out, "communes.csv", func(w *bufio.Writer) {
+	tables := []struct {
+		name string
+		fill func(*bufio.Writer)
+	}{{"communes.csv", func(w *bufio.Writer) {
 		fmt.Fprintln(w, "id,x_km,y_km,population,subscribers,class,coverage")
 		for i := range ds.Country.Communes {
 			c := &ds.Country.Communes[i]
@@ -90,9 +103,7 @@ the essentials for CI use.
 				c.ID, c.Center.X, c.Center.Y, c.Population, c.Subscribers,
 				c.Urbanization, c.Coverage)
 		}
-	})
-
-	write(*out, "national.csv", func(w *bufio.Writer) {
+	}}, {"national.csv", func(w *bufio.Writer) {
 		fmt.Fprintln(w, "service,direction,sample,bytes")
 		for dir := services.Direction(0); dir < services.NumDirections; dir++ {
 			for s := range ds.Catalog {
@@ -101,9 +112,7 @@ the essentials for CI use.
 				}
 			}
 		}
-	})
-
-	write(*out, "spatial.csv", func(w *bufio.Writer) {
+	}}, {"spatial.csv", func(w *bufio.Writer) {
 		fmt.Fprintln(w, "service,direction,commune,weekly_bytes")
 		for dir := services.Direction(0); dir < services.NumDirections; dir++ {
 			for s := range ds.Catalog {
@@ -114,9 +123,7 @@ the essentials for CI use.
 				}
 			}
 		}
-	})
-
-	write(*out, "ranking.csv", func(w *bufio.Writer) {
+	}}, {"ranking.csv", func(w *bufio.Writer) {
 		fmt.Fprintln(w, "rank,direction,weekly_bytes")
 		for dir := services.Direction(0); dir < services.NumDirections; dir++ {
 			vols := ds.AllVolumes(dir)
@@ -124,58 +131,67 @@ the essentials for CI use.
 				fmt.Fprintf(w, "%d,%s,%.3g\n", i+1, dir, v)
 			}
 		}
-	})
-
-	fmt.Printf("wrote dataset (%d communes, %d services) to %s\n",
-		len(ds.Country.Communes), cfg.TotalServices, *out)
+	}}}
+	for _, t := range tables {
+		if err := write(out, t.name, t.fill); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stdout, "wrote dataset (%d communes, %d services) to %s\n",
+		len(ds.Country.Communes), cfg.TotalServices, out)
+	return nil
 }
 
 // record streams a simulated capture into the binary trace format.
 // Nothing is materialized: the simulator emits one session at a time
 // and the writer appends records as they arrive.
-func record(path string, sessions int, seed uint64, quiet bool) {
+func record(ctx context.Context, stdout io.Writer, path string, sessions int, seed uint64, quiet bool) error {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
 	sim, err := gtpsim.New(country, catalog, daemon.SimConfig(sessions, seed, 0, daemon.WeekBins))
 	if err != nil {
-		fail(err)
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
+	defer f.Close()
 	w, err := capture.NewWriter(f)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	st := sim.Stream()
-	n, err := capture.Copy(w, st)
+	src := capture.NewStopSource(st)
+	defer context.AfterFunc(ctx, src.Stop)()
+	n, err := capture.Copy(w, src)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fail(err)
+		return err
 	}
 	truth := st.Stats()
-	fmt.Printf("recorded %d frames (%d sessions, DL %s, UL %s, seed %d) to %s\n",
+	fmt.Fprintf(stdout, "recorded %d frames (%d sessions, DL %s, UL %s, seed %d) to %s\n",
 		n, truth.Sessions, report.Bytes(truth.BytesDL), report.Bytes(truth.BytesUL), seed, path)
 	if !quiet {
-		fmt.Printf("replay with: probesim -trace %s -seed %d\n", path, seed)
+		fmt.Fprintf(stdout, "replay with: probesim -trace %s -seed %d\n", path, seed)
 	}
+	return nil
 }
 
 // summarize streams a recorded trace and prints its envelope together
 // with the replay throughput, so a trace run doubles as a quick
 // end-to-end perf probe of the decode path.
-func summarize(path string, quiet bool) {
+func summarize(stdout io.Writer, path string, quiet bool) error {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	defer f.Close()
 	rd, err := capture.NewReader(f)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	var n, bytes int
 	var firstAt, lastAt time.Time
@@ -186,7 +202,7 @@ func summarize(path string, quiet bool) {
 			break
 		}
 		if err != nil {
-			fail(err)
+			return err
 		}
 		if n == 0 {
 			firstAt = fr.Time
@@ -196,35 +212,30 @@ func summarize(path string, quiet bool) {
 		bytes += len(fr.Data)
 	}
 	elapsed := time.Since(begin)
-	fmt.Printf("%s: %d frames, %s on the wire\n", path, n, report.Bytes(float64(bytes)))
+	fmt.Fprintf(stdout, "%s: %d frames, %s on the wire\n", path, n, report.Bytes(float64(bytes)))
 	// Timing is machine-dependent, so quiet (CI) mode keeps only the
 	// deterministic envelope line above.
 	if secs := elapsed.Seconds(); secs > 0 && !quiet {
-		fmt.Printf("replayed in %v: %.0f frames/s, %.0f MB/s\n",
+		fmt.Fprintf(stdout, "replayed in %v: %.0f frames/s, %.0f MB/s\n",
 			elapsed.Round(time.Millisecond), float64(n)/secs, float64(bytes)/secs/1e6)
 	}
 	if n > 0 && !quiet {
-		fmt.Printf("first frame %s, last frame %s\n",
+		fmt.Fprintf(stdout, "first frame %s, last frame %s\n",
 			firstAt.Format("2006-01-02 15:04:05.000"), lastAt.Format("2006-01-02 15:04:05.000"))
 	}
+	return nil
 }
 
-func write(dir, name string, fill func(*bufio.Writer)) {
+func write(dir, name string, fill func(*bufio.Writer)) error {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		fail(err)
+		return err
 	}
+	defer f.Close()
 	w := bufio.NewWriter(f)
 	fill(w)
 	if err := w.Flush(); err != nil {
-		fail(err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fail(err)
-	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return f.Close()
 }

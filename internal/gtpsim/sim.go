@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,19 +117,24 @@ type Simulator struct {
 	seqCounter uint32
 
 	// Per-session serialization state, reused across sessions so the
-	// steady-state frame path allocates nothing: frames serialize into
-	// one arena per session (invalidated when the next session starts —
-	// the capture.Source ownership contract), with fixed scratch
-	// buffers for the intermediate layers and a cache of the
-	// deterministic per-service ClientHello bytes.
-	arena    []byte
-	refs     []frameRef
-	frames   []Frame
-	bufTCP   []byte
-	bufInner []byte
-	bufGTP   []byte
-	bufSeg   []byte
-	hellos   [][]byte
+	// steady-state frame path allocates nothing: every layer's header is
+	// appended, outermost first, straight into one arena per session
+	// (invalidated when the next session starts — the capture.Source
+	// ownership contract), followed by the payload. bufGTP holds a GTP-C
+	// message body while its length is unknown; hellos caches the
+	// deterministic per-service ClientHello bytes with their pkt.Sum.
+	arena  []byte
+	refs   []frameRef
+	frames []Frame
+	bufGTP []byte
+	hellos []hello
+}
+
+// hello is a handshake opener and the pkt.Sum of its bytes, so the TCP
+// checksum of the segment carrying it never re-reads the payload.
+type hello struct {
+	data []byte
+	sum  uint32
 }
 
 // frameRef records one frame's timestamp and its byte range in the
@@ -140,12 +146,19 @@ type frameRef struct {
 }
 
 // zeroPayload backs every synthetic data segment: payload content is
-// zeros, so all emits share one read-only buffer.
+// zeros, so all segments share one read-only buffer and any slice of it
+// has pkt.Sum 0.
 var zeroPayload [2048]byte
 
 // unclassifiableHello is the opaque, SNI-free handshake opener of
 // unfingerprinted sessions. Read-only.
-var unclassifiableHello = []byte{0x16, 0x03, 0x01, 0x00, 0x02, 0xff, 0xff}
+var unclassifiableHello = newHello([]byte{0x16, 0x03, 0x01, 0x00, 0x02, 0xff, 0xff})
+
+func newHello(data []byte) hello { return hello{data, pkt.Sum(data)} }
+
+// Header sizes of the frames the simulator emits: no IP or TCP options,
+// no GTP-U sequence number.
+const ipHdr, udpHdr, gtpuHdr, tcpHdr = 20, 8, 8, 20
 
 // New builds a simulator over the given country and catalogue.
 func New(country *geo.Country, catalog []services.Service, cfg Config) (*Simulator, error) {
@@ -242,7 +255,7 @@ func (s *Simulator) Run() ([]Frame, *Stats) {
 	// The stable sort keeps each session's internal (already sorted)
 	// frame order on timestamp ties, so a probe consuming this slice
 	// attributes tied frames exactly like a streaming consumer.
-	sort.SliceStable(frames, func(a, b int) bool { return frames[a].Time.Before(frames[b].Time) })
+	slices.SortStableFunc(frames, byTime)
 	return frames, st.Stats()
 }
 
@@ -395,10 +408,11 @@ func (s *Simulator) session(stats *Stats) []Frame {
 	// frame and a handover update landing on the same instant keep
 	// their causal order, and streaming consumers see exactly the
 	// per-tunnel sequence the materialized (globally sorted) path sees.
-	frames := s.frames
-	sort.SliceStable(frames, func(a, b int) bool { return frames[a].Time.Before(frames[b].Time) })
-	return frames
+	slices.SortStableFunc(s.frames, byTime)
+	return s.frames
 }
+
+func byTime(a, b Frame) int { return a.Time.Compare(b.Time) }
 
 func (s *Simulator) ueIP() [4]byte {
 	s.nextSubIP++
@@ -429,10 +443,10 @@ func (s *Simulator) controlFrames(at time.Time, is4G, modify bool, ctrlTEID, dat
 			m.MessageType = pkt.GTPv2MsgModifyBearerRequest
 		}
 		s.bufGTP = m.SerializeTo(s.bufGTP[:0], nil)
-		s.wrap(at, AccessGW, CoreGW, pkt.PortGTPC, s.bufGTP)
+		s.wrap(at, AccessGW, CoreGW, s.bufGTP)
 		r := &pkt.GTPv2C{MessageType: m.MessageType + 1, TEID: ctrlTEID, Sequence: m.Sequence}
 		s.bufGTP = r.SerializeTo(s.bufGTP[:0], nil)
-		s.wrap(at.Add(20*time.Millisecond), CoreGW, AccessGW, pkt.PortGTPC, s.bufGTP)
+		s.wrap(at.Add(20*time.Millisecond), CoreGW, AccessGW, s.bufGTP)
 	} else {
 		m := &pkt.GTPv1C{
 			MessageType: pkt.GTPv1MsgCreatePDPRequest,
@@ -445,10 +459,10 @@ func (s *Simulator) controlFrames(at time.Time, is4G, modify bool, ctrlTEID, dat
 			m.MessageType = pkt.GTPv1MsgUpdatePDPRequest
 		}
 		s.bufGTP = m.SerializeTo(s.bufGTP[:0], nil)
-		s.wrap(at, AccessGW, CoreGW, pkt.PortGTPC, s.bufGTP)
+		s.wrap(at, AccessGW, CoreGW, s.bufGTP)
 		r := &pkt.GTPv1C{MessageType: m.MessageType + 1, TEID: ctrlTEID, Sequence: m.Sequence}
 		s.bufGTP = r.SerializeTo(s.bufGTP[:0], nil)
-		s.wrap(at.Add(20*time.Millisecond), CoreGW, AccessGW, pkt.PortGTPC, s.bufGTP)
+		s.wrap(at.Add(20*time.Millisecond), CoreGW, AccessGW, s.bufGTP)
 	}
 }
 
@@ -460,17 +474,17 @@ func (s *Simulator) deleteFrames(at time.Time, is4G bool, ctrlTEID uint32) {
 		m := &pkt.GTPv1C{MessageType: pkt.GTPv1MsgDeletePDPRequest, TEID: ctrlTEID, Sequence: uint16(s.seq())}
 		s.bufGTP = m.SerializeTo(s.bufGTP[:0], nil)
 	}
-	s.wrap(at, AccessGW, CoreGW, pkt.PortGTPC, s.bufGTP)
+	s.wrap(at, AccessGW, CoreGW, s.bufGTP)
 }
 
-// helloFor returns the (deterministic) TLS ClientHello bytes of a
-// catalogue service, built once and cached. Read-only for callers.
-func (s *Simulator) helloFor(svcIdx int) []byte {
+// helloFor returns the (deterministic) TLS ClientHello of a catalogue
+// service, built once and cached. Read-only for callers.
+func (s *Simulator) helloFor(svcIdx int) hello {
 	if s.hellos == nil {
-		s.hellos = make([][]byte, len(s.Catalog))
+		s.hellos = make([]hello, len(s.Catalog))
 	}
-	if s.hellos[svcIdx] == nil {
-		s.hellos[svcIdx] = dpi.BuildClientHello(dpi.ServiceHost(s.Catalog[svcIdx].Name))
+	if s.hellos[svcIdx].data == nil {
+		s.hellos[svcIdx] = newHello(dpi.BuildClientHello(dpi.ServiceHost(s.Catalog[svcIdx].Name)))
 	}
 	return s.hellos[svcIdx]
 }
@@ -488,27 +502,34 @@ func (s *Simulator) dataFrames(start time.Time, life time.Duration, svcIdx int, 
 		serverPort = dpi.MMSPort
 	}
 
-	emit := func(at time.Time, srcIP, dstIP [4]byte, srcPort, dstPort uint16, payload []byte, uplink bool) {
-		tcp := &pkt.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: pkt.TCPAck, Window: 65535}
-		tcp.SetChecksumIPs(srcIP, dstIP)
-		s.bufTCP = tcp.SerializeTo(s.bufTCP[:0], payload)
-		inner := &pkt.IPv4{TTL: 60, Protocol: pkt.IPProtoTCP, SrcIP: srcIP, DstIP: dstIP}
-		s.bufInner = inner.SerializeTo(s.bufInner[:0], s.bufTCP)
-		gtpu := &pkt.GTPv1U{MessageType: pkt.GTPMsgGPDU, TEID: dataTEID}
-		s.bufGTP = gtpu.SerializeTo(s.bufGTP[:0], s.bufInner)
+	// emit appends one G-PDU frame: outer IPv4/UDP between the gateways,
+	// GTP-U, the subscriber's IPv4/TCP, then the payload — whose pkt.Sum
+	// the caller states, so the TCP checksum costs a header's worth of
+	// summing and the payload bytes are touched once, by the copy.
+	emit := func(at time.Time, srcIP, dstIP [4]byte, srcPort, dstPort uint16, payload []byte, payloadSum uint32, uplink bool) {
 		outerSrc, outerDst := AccessGW, CoreGW
 		if !uplink {
 			outerSrc, outerDst = CoreGW, AccessGW
 		}
-		s.wrap(at, outerSrc, outerDst, pkt.PortGTPU, s.bufGTP)
+		n := len(payload)
+		frameStart := s.outerHeaders(outerSrc, outerDst, pkt.PortGTPU, gtpuHdr+ipHdr+tcpHdr+n)
+		gtpu := pkt.GTPv1U{MessageType: pkt.GTPMsgGPDU, TEID: dataTEID}
+		s.arena = gtpu.AppendHeader(s.arena, ipHdr+tcpHdr+n)
+		inner := pkt.IPv4{TTL: 60, Protocol: pkt.IPProtoTCP, SrcIP: srcIP, DstIP: dstIP}
+		s.arena = inner.AppendHeader(s.arena, tcpHdr+n)
+		tcp := pkt.TCP{SrcPort: srcPort, DstPort: dstPort, Flags: pkt.TCPAck, Window: 65535}
+		tcp.SetChecksumIPs(srcIP, dstIP)
+		s.arena = tcp.AppendHeader(s.arena, n, payloadSum)
+		s.arena = append(s.arena, payload...)
+		s.refs = append(s.refs, frameRef{at: at, start: frameStart, end: len(s.arena)})
 	}
 
 	// First uplink packet: the TLS handshake opener.
-	hello := unclassifiableHello
+	opener := unclassifiableHello
 	if !unclassifiable {
-		hello = s.helloFor(svcIdx)
+		opener = s.helloFor(svcIdx)
 	}
-	emit(start.Add(50*time.Millisecond), ueIP, serverIP, uePort, serverPort, hello, true)
+	emit(start.Add(50*time.Millisecond), ueIP, serverIP, uePort, serverPort, opener.data, opener.sum, true)
 
 	nDL := int(dlBytes/mss) + 1
 	for i := 0; i < nDL; i++ {
@@ -520,12 +541,12 @@ func (s *Simulator) dataFrames(start time.Time, life time.Duration, svcIdx int, 
 			break
 		}
 		at := start.Add(time.Duration(float64(life) * float64(i+1) / float64(nDL+1)))
-		emit(at, serverIP, ueIP, serverPort, uePort, zeroPayload[:size], false)
+		emit(at, serverIP, ueIP, serverPort, uePort, zeroPayload[:size], 0, false)
 	}
 	// Uplink data rides in full segments (posts, uploads, ACK piggyback
 	// is ignored): one packet per MSS, so small uplink volumes become a
 	// single adequately sized packet rather than a spray of tiny ones.
-	ulRemaining := int(ulBytes) - len(hello)
+	ulRemaining := int(ulBytes) - len(opener.data)
 	nUL := ulRemaining/mss + 1
 	for i := 0; i < nUL && ulRemaining > 0; i++ {
 		size := mss
@@ -533,19 +554,27 @@ func (s *Simulator) dataFrames(start time.Time, life time.Duration, svcIdx int, 
 			size = ulRemaining
 		}
 		at := start.Add(time.Duration(float64(life) * float64(i+1) / float64(nUL+1))).Add(3 * time.Millisecond)
-		emit(at, ueIP, serverIP, uePort, serverPort, zeroPayload[:size], true)
+		emit(at, ueIP, serverIP, uePort, serverPort, zeroPayload[:size], 0, true)
 		ulRemaining -= size
 	}
 }
 
-// wrap encapsulates a GTP message in UDP/IP between the gateways,
-// serializing the outer layers straight into the session arena and
-// recording the frame's byte range.
-func (s *Simulator) wrap(at time.Time, src, dst [4]byte, dstPort uint16, gtp []byte) {
-	udp := &pkt.UDP{SrcPort: uint16(32000 + s.rng.IntN(1000)), DstPort: dstPort}
-	s.bufSeg = udp.SerializeTo(s.bufSeg[:0], gtp)
-	ip := &pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: src, DstIP: dst}
+// outerHeaders starts a frame in the session arena: the IPv4 and UDP
+// headers, between the gateways, of a GTP message of gtpLen bytes. It
+// returns the frame's start offset. The outer UDP checksum is left
+// zero, so no payload sum is owed.
+func (s *Simulator) outerHeaders(src, dst [4]byte, dstPort uint16, gtpLen int) int {
 	start := len(s.arena)
-	s.arena = ip.SerializeTo(s.arena, s.bufSeg)
+	udp := pkt.UDP{SrcPort: uint16(32000 + s.rng.IntN(1000)), DstPort: dstPort}
+	ip := pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: src, DstIP: dst}
+	s.arena = ip.AppendHeader(s.arena, udpHdr+gtpLen)
+	s.arena = udp.AppendHeader(s.arena, gtpLen, 0)
+	return start
+}
+
+// wrap emits a GTP-C message as one frame of the session arena.
+func (s *Simulator) wrap(at time.Time, src, dst [4]byte, gtp []byte) {
+	start := s.outerHeaders(src, dst, pkt.PortGTPC, len(gtp))
+	s.arena = append(s.arena, gtp...)
 	s.refs = append(s.refs, frameRef{at: at, start: start, end: len(s.arena)})
 }

@@ -1,10 +1,18 @@
 package gtpsim
 
 import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/capture"
 	"repro/internal/geo"
 	"repro/internal/pkt"
 	"repro/internal/services"
@@ -97,6 +105,7 @@ func TestFramesDecodeCleanly(t *testing.T) {
 	frames, _ := sim.Run()
 	var p pkt.Parser
 	var decoded []pkt.LayerType
+	tcpFrames := 0
 	for i, f := range frames {
 		var err error
 		decoded, err = p.Decode(f.Data, decoded)
@@ -106,6 +115,70 @@ func TestFramesDecodeCleanly(t *testing.T) {
 		if len(decoded) < 3 {
 			t.Fatalf("frame %d: only %d layers", i, len(decoded))
 		}
+		// The generator states payload sums instead of summing payloads;
+		// a receiver summing the bytes must still agree.
+		if !p.UDP.VerifyChecksum(&p.OuterIP) {
+			t.Fatalf("frame %d: outer UDP checksum", i)
+		}
+		if slices.Contains(decoded, pkt.LayerTypeTCP) {
+			tcpFrames++
+			if !p.InnerTCP.VerifyChecksum(&p.InnerIP) {
+				t.Fatalf("frame %d: inner TCP checksum", i)
+			}
+		}
+	}
+	if tcpFrames == 0 {
+		t.Fatal("no frame carried an inner TCP segment")
+	}
+}
+
+// TestStreamGolden pins the generated trace across commits: the
+// SHA-256 of the default-config stream in the binary trace format
+// (internal/capture) must equal the digest recorded before the
+// serializers were rewritten around AppendHeader.
+func TestStreamGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/stream-2000.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(golden))
+	sim, err := New(testCountry(t), services.Catalog(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	w, err := capture.NewWriter(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture.Copy(w, sim.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("default-config stream digest %s, want %s: the generated trace changed", got, want)
+	}
+}
+
+// BenchmarkStream is the generator alone: one default-config run
+// (2000 sessions) drained frame by frame, as the pipeline consumes it.
+func BenchmarkStream(b *testing.B) {
+	country := geo.Generate(geo.SmallConfig())
+	catalog := services.Catalog()
+	b.ReportAllocs()
+	for b.Loop() {
+		sim, err := New(country, catalog, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var n int64
+		for st := sim.Stream(); ; {
+			f, err := st.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			n += int64(len(f.Data))
+		}
+		b.SetBytes(n)
 	}
 }
 

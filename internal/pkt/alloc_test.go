@@ -42,7 +42,7 @@ func TestDecodeZeroAllocs(t *testing.T) {
 
 // TestSerializeAppendOnlyAllocs pins the serializers' discipline: with
 // a caller-provided buffer of sufficient capacity, building a full
-// G-PDU frame allocates nothing (headers build in stack arrays).
+// G-PDU frame allocates nothing (headers are written in place).
 func TestSerializeAppendOnlyAllocs(t *testing.T) {
 	ue := [4]byte{10, 0, 0, 1}
 	server := [4]byte{203, 1, 0, 1}
@@ -65,9 +65,7 @@ func TestSerializeAppendOnlyAllocs(t *testing.T) {
 		ip := &IPv4{TTL: 64, Protocol: IPProtoUDP, SrcIP: [4]byte{172, 16, 0, 2}, DstIP: [4]byte{172, 16, 0, 1}}
 		bufOut = ip.SerializeTo(bufOut[:0], bufSeg)
 	})
-	// SetChecksumIPs escapes its ipPair to the heap; everything else is
-	// stack or caller-owned. Budget: at most that one object.
-	if allocs > 1 {
-		t.Errorf("frame serialization allocates %.1f objects, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("frame serialization allocates %.1f objects, want 0", allocs)
 	}
 }

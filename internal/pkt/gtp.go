@@ -78,24 +78,27 @@ func (g *GTPv1U) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements SerializableLayer.
-func (g *GTPv1U) SerializeTo(buf []byte, payload []byte) []byte {
+// AppendHeader appends the header of a message whose payload will be
+// payloadLen bytes.
+func (g *GTPv1U) AppendHeader(buf []byte, payloadLen int) []byte {
 	flags := byte(1<<5 | 0x10)
 	optLen := 0
 	if g.HasSeq {
 		flags |= 0x02
 		optLen = 4
 	}
-	length := uint16(optLen + len(payload))
-	var hdrArr [12]byte
-	hdr := hdrArr[:8+optLen]
+	buf, hdr := extend(buf, 8+optLen)
 	hdr[0] = flags
 	hdr[1] = g.MessageType
-	put16(hdr[2:], length)
+	put16(hdr[2:], uint16(optLen+payloadLen))
 	put32(hdr[4:], g.TEID)
 	if g.HasSeq {
 		put16(hdr[8:], g.Sequence)
 	}
-	buf = append(buf, hdr...)
-	return append(buf, payload...)
+	return buf
+}
+
+// SerializeTo implements SerializableLayer.
+func (g *GTPv1U) SerializeTo(buf []byte, payload []byte) []byte {
+	return append(g.AppendHeader(buf, len(payload)), payload...)
 }

@@ -80,47 +80,42 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// SerializeTo implements SerializableLayer: it writes the header with
-// recomputed Length and Checksum, then the payload. The header builds
-// in a stack buffer (IHL bounds it at 60 bytes), so serialization
-// itself never allocates — growth is the caller's append.
-func (ip *IPv4) SerializeTo(buf []byte, payload []byte) []byte {
-	hdrLen := 20 + len(ip.Options)
-	if hdrLen%4 != 0 {
-		// Pad options to a 32-bit boundary.
-		pad := 4 - hdrLen%4
-		ip.Options = append(ip.Options, make([]byte, pad)...)
-		hdrLen += pad
-	}
-	total := hdrLen + len(payload)
-	var hdrArr [60]byte
-	var hdr []byte
-	if hdrLen <= len(hdrArr) {
-		hdr = hdrArr[:hdrLen]
-	} else {
-		hdr = make([]byte, hdrLen) // options beyond the IHL bound; cold
-	}
+// AppendHeader appends the header of a packet whose payload will be
+// payloadLen bytes, with Length and Checksum computed and Options
+// zero-padded to a 32-bit boundary. The header is written in place in
+// buf, so encoding never allocates — growth is the caller's append.
+func (ip *IPv4) AppendHeader(buf []byte, payloadLen int) []byte {
+	hdrLen := 20 + padded4(len(ip.Options))
+	buf, hdr := extend(buf, hdrLen)
 	hdr[0] = 4<<4 | uint8(hdrLen/4)
 	hdr[1] = ip.TOS
-	put16(hdr[2:], uint16(total))
+	put16(hdr[2:], uint16(hdrLen+payloadLen))
 	put16(hdr[4:], ip.ID)
 	put16(hdr[6:], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
 	hdr[8] = ip.TTL
 	hdr[9] = ip.Protocol
-	// checksum zero for now
 	copy(hdr[12:16], ip.SrcIP[:])
 	copy(hdr[16:20], ip.DstIP[:])
 	copy(hdr[20:], ip.Options)
-	cs := Checksum(hdr)
-	put16(hdr[10:], cs)
-	buf = append(buf, hdr...)
-	return append(buf, payload...)
+	put16(hdr[10:], Checksum(hdr))
+	return buf
 }
 
-// Checksum computes the RFC 1071 Internet checksum of data: the 16-bit
-// one's-complement of the one's-complement sum. A buffer containing a
-// correct checksum field sums to zero.
-func Checksum(data []byte) uint16 {
+// SerializeTo implements SerializableLayer.
+func (ip *IPv4) SerializeTo(buf []byte, payload []byte) []byte {
+	return append(ip.AppendHeader(buf, len(payload)), payload...)
+}
+
+// padded4 rounds an options length up to a multiple of 4.
+func padded4(n int) int { return (n + 3) &^ 3 }
+
+// Sum returns the unfolded ones'-complement sum of data taken as
+// big-endian 16-bit words, an odd last byte padded with zero (RFC
+// 1071). Sums add: the sum of a buffer is the sum of its parts,
+// provided every part but the last has even length — which is what
+// lets a TCP or UDP AppendHeader take its payload's sum instead of its
+// payload. Exact for inputs up to 128 KiB.
+func Sum(data []byte) uint32 {
 	var sum uint32
 	for i := 0; i+1 < len(data); i += 2 {
 		sum += uint32(data[i])<<8 | uint32(data[i+1])
@@ -128,34 +123,27 @@ func Checksum(data []byte) uint16 {
 	if len(data)%2 == 1 {
 		sum += uint32(data[len(data)-1]) << 8
 	}
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	return ^uint16(sum)
-}
-
-// pseudoHeaderChecksum computes the TCP/UDP pseudo-header sum.
-func pseudoHeaderChecksum(src, dst [4]byte, proto uint8, length int) uint32 {
-	var sum uint32
-	sum += uint32(src[0])<<8 | uint32(src[1])
-	sum += uint32(src[2])<<8 | uint32(src[3])
-	sum += uint32(dst[0])<<8 | uint32(dst[1])
-	sum += uint32(dst[2])<<8 | uint32(dst[3])
-	sum += uint32(proto)
-	sum += uint32(length)
 	return sum
 }
 
-func checksumWithPseudo(pseudo uint32, data []byte) uint16 {
-	sum := pseudo
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(data[i])<<8 | uint32(data[i+1])
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
+// fold reduces an unfolded sum to the 16-bit checksum field value: the
+// ones' complement of the ones'-complement sum.
+func fold(sum uint32) uint16 {
 	for sum > 0xffff {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
 	return ^uint16(sum)
+}
+
+// Checksum computes the RFC 1071 Internet checksum of data. A buffer
+// containing a correct checksum field sums to zero.
+func Checksum(data []byte) uint16 { return fold(Sum(data)) }
+
+// transportChecksum is the checksum field of a TCP or UDP segment of
+// length bytes between src and dst: the pseudo header, plus the
+// segment's leading bytes head (even length, checksum field zero or,
+// to verify, as received), plus restSum, the Sum of the bytes after
+// head. A received segment passed whole as head yields 0 when intact.
+func transportChecksum(src, dst [4]byte, proto uint8, length int, head []byte, restSum uint32) uint16 {
+	return fold(Sum(src[:]) + Sum(dst[:]) + uint32(proto) + uint32(length) + Sum(head) + restSum)
 }

@@ -12,7 +12,10 @@
 // allocation.
 package pkt
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // LayerType identifies a protocol layer.
 type LayerType int
@@ -115,4 +118,14 @@ func put32(b []byte, v uint32) {
 	b[1] = byte(v >> 16)
 	b[2] = byte(v >> 8)
 	b[3] = byte(v)
+}
+
+// extend appends n zero bytes to buf and returns the extended slice
+// and the appended bytes: where an AppendHeader writes its header in
+// place. It allocates only when buf must grow.
+func extend(buf []byte, n int) (ext, tail []byte) {
+	ext = slices.Grow(buf, n)[:len(buf)+n]
+	tail = ext[len(buf):]
+	clear(tail)
+	return ext, tail
 }

@@ -11,7 +11,8 @@ type UDP struct {
 
 	payload []byte
 	raw     []byte
-	csumIPs *ipPair
+	csumIPs ipPair
+	csum    bool // SetChecksumIPs was called
 }
 
 // LayerType implements DecodingLayer.
@@ -65,40 +66,39 @@ func (u *UDP) VerifyChecksum(ip *IPv4) bool {
 	if u.Checksum == 0 {
 		return true
 	}
-	return checksumWithPseudo(pseudoHeaderChecksum(ip.SrcIP, ip.DstIP, IPProtoUDP, len(u.raw)), u.raw) == 0
+	return transportChecksum(ip.SrcIP, ip.DstIP, IPProtoUDP, len(u.raw), u.raw, 0) == 0
 }
 
-// SerializeTo implements SerializableLayer. The checksum is computed
-// when SetChecksumIPs was called; otherwise it is left zero (legal for
-// UDP over IPv4).
-func (u *UDP) SerializeTo(buf []byte, payload []byte) []byte {
-	length := 8 + len(payload)
-	var hdrArr [8]byte
-	hdr := hdrArr[:]
+// AppendHeader appends the header of a datagram whose payload will be
+// payloadLen bytes summing to payloadSum (see Sum). The checksum is
+// computed when SetChecksumIPs was called; otherwise it is left zero
+// (legal for UDP over IPv4) and payloadSum is not used.
+func (u *UDP) AppendHeader(buf []byte, payloadLen int, payloadSum uint32) []byte {
+	buf, hdr := extend(buf, 8)
 	put16(hdr, u.SrcPort)
 	put16(hdr[2:], u.DstPort)
-	put16(hdr[4:], uint16(length))
-	// checksum filled below if requested
-	start := len(buf)
-	buf = append(buf, hdr...)
-	buf = append(buf, payload...)
-	if u.csumIPs != nil {
-		seg := buf[start:]
-		cs := checksumWithPseudo(pseudoHeaderChecksum(u.csumIPs[0], u.csumIPs[1], IPProtoUDP, length), seg)
+	put16(hdr[4:], uint16(8+payloadLen))
+	if u.csum {
+		cs := transportChecksum(u.csumIPs[0], u.csumIPs[1], IPProtoUDP, 8+payloadLen, hdr, payloadSum)
 		if cs == 0 {
 			cs = 0xffff // RFC 768: transmitted as all ones
 		}
-		put16(seg[6:], cs)
+		put16(hdr[6:], cs)
 	}
 	return buf
 }
 
-// csumIPs holds the (src, dst) pair for checksum computation.
+// SerializeTo implements SerializableLayer.
+func (u *UDP) SerializeTo(buf []byte, payload []byte) []byte {
+	return append(u.AppendHeader(buf, len(payload), Sum(payload)), payload...)
+}
+
+// ipPair is the (src, dst) address pair of a pseudo header.
 type ipPair = [2][4]byte
 
-// SetChecksumIPs arms checksum computation for SerializeTo using the
-// given IP endpoints.
-func (u *UDP) SetChecksumIPs(src, dst [4]byte) { u.csumIPs = &ipPair{src, dst} }
+// SetChecksumIPs arms checksum computation for AppendHeader and
+// SerializeTo using the given IP endpoints.
+func (u *UDP) SetChecksumIPs(src, dst [4]byte) { u.csumIPs, u.csum = ipPair{src, dst}, true }
 
 // TCP is the Transmission Control Protocol header (RFC 9293), options
 // preserved raw.
@@ -114,7 +114,8 @@ type TCP struct {
 
 	payload []byte
 	raw     []byte
-	csumIPs *ipPair
+	csumIPs ipPair
+	csum    bool // SetChecksumIPs was called
 }
 
 // TCP flag bits.
@@ -165,24 +166,17 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 // VerifyChecksum checks the TCP checksum against the enclosing IP
 // pseudo header.
 func (t *TCP) VerifyChecksum(ip *IPv4) bool {
-	return checksumWithPseudo(pseudoHeaderChecksum(ip.SrcIP, ip.DstIP, IPProtoTCP, len(t.raw)), t.raw) == 0
+	return transportChecksum(ip.SrcIP, ip.DstIP, IPProtoTCP, len(t.raw), t.raw, 0) == 0
 }
 
-// SerializeTo implements SerializableLayer; checksum is computed when
-// SetChecksumIPs was called.
-func (t *TCP) SerializeTo(buf []byte, payload []byte) []byte {
-	opts := t.Options
-	if len(opts)%4 != 0 {
-		opts = append(append([]byte(nil), opts...), make([]byte, 4-len(opts)%4)...)
-	}
-	hdrLen := 20 + len(opts)
-	var hdrArr [60]byte
-	var hdr []byte
-	if hdrLen <= len(hdrArr) {
-		hdr = hdrArr[:hdrLen]
-	} else {
-		hdr = make([]byte, hdrLen) // options beyond the data-offset bound; cold
-	}
+// AppendHeader appends the header — Options zero-padded to a 32-bit
+// boundary — of a segment whose payload will be payloadLen bytes
+// summing to payloadSum (see Sum; the header length is even, so the
+// sums compose). The checksum is computed when SetChecksumIPs was
+// called; otherwise it is left zero and payloadSum is not used.
+func (t *TCP) AppendHeader(buf []byte, payloadLen int, payloadSum uint32) []byte {
+	hdrLen := 20 + padded4(len(t.Options))
+	buf, hdr := extend(buf, hdrLen)
 	put16(hdr, t.SrcPort)
 	put16(hdr[2:], t.DstPort)
 	put32(hdr[4:], t.Seq)
@@ -191,17 +185,18 @@ func (t *TCP) SerializeTo(buf []byte, payload []byte) []byte {
 	hdr[13] = t.Flags
 	put16(hdr[14:], t.Window)
 	put16(hdr[18:], t.Urgent)
-	copy(hdr[20:], opts)
-	start := len(buf)
-	buf = append(buf, hdr...)
-	buf = append(buf, payload...)
-	if t.csumIPs != nil {
-		seg := buf[start:]
-		cs := checksumWithPseudo(pseudoHeaderChecksum(t.csumIPs[0], t.csumIPs[1], IPProtoTCP, len(seg)), seg)
-		put16(seg[16:], cs)
+	copy(hdr[20:], t.Options)
+	if t.csum {
+		put16(hdr[16:], transportChecksum(t.csumIPs[0], t.csumIPs[1], IPProtoTCP, hdrLen+payloadLen, hdr, payloadSum))
 	}
 	return buf
 }
 
-// SetChecksumIPs arms checksum computation for SerializeTo.
-func (t *TCP) SetChecksumIPs(src, dst [4]byte) { t.csumIPs = &ipPair{src, dst} }
+// SerializeTo implements SerializableLayer.
+func (t *TCP) SerializeTo(buf []byte, payload []byte) []byte {
+	return append(t.AppendHeader(buf, len(payload), Sum(payload)), payload...)
+}
+
+// SetChecksumIPs arms checksum computation for AppendHeader and
+// SerializeTo.
+func (t *TCP) SetChecksumIPs(src, dst [4]byte) { t.csumIPs, t.csum = ipPair{src, dst}, true }
