@@ -11,28 +11,39 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
+	"repro/internal/daemon"
 	"repro/internal/experiments"
 	"repro/internal/synth"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment id (fig2..fig11, probe, ablation-*) or 'all'")
-	scale := flag.String("scale", "small", "dataset scale: small | full")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	parallel := flag.Bool("parallel", false, "run experiments concurrently on all CPUs")
-	flag.Parse()
+	os.Exit(run(daemon.SignalContext("figures"), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole program, returning its exit code: 0 on success and
+// -h, 2 for a usage error, 1 when the dataset or an experiment fails
+// (an unknown -fig id included). Cancelling ctx stops the engine.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("figures", "", stderr)
+	fig := fs.String("fig", "all", "experiment id (fig2..fig11, probe, ablation-*) or 'all'")
+	scale := fs.String("scale", "small", "dataset scale: small | full")
+	seed := fs.Uint64("seed", 1, "generator seed")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	parallel := fs.Bool("parallel", false, "run experiments concurrently on all CPUs")
+	if err := daemon.Parse(fs, args); err != nil {
+		return daemon.Exit(stderr, err)
+	}
 
 	if *list {
 		for _, r := range experiments.All() {
-			fmt.Printf("%-22s %s\n", r.ID, r.Title)
+			fmt.Fprintf(stdout, "%-22s %s\n", r.ID, r.Title)
 		}
-		return
+		return 0
 	}
 
 	cfg := synth.SmallConfig()
@@ -43,8 +54,7 @@ func main() {
 
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "generating dataset:", err)
-		os.Exit(1)
+		return daemon.Exit(stderr, fmt.Errorf("generating dataset: %w", err))
 	}
 
 	var ids []string
@@ -55,13 +65,12 @@ func main() {
 	if *parallel {
 		concurrency = runtime.NumCPU()
 	}
-	results, err := experiments.NewEngine(env).Run(context.Background(),
-		experiments.Options{Concurrency: concurrency, IDs: ids})
+	results, err := experiments.NewEngine(env).Run(ctx, experiments.Options{Concurrency: concurrency, IDs: ids})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return daemon.Exit(stderr, err)
 	}
 	for _, res := range results {
-		fmt.Println(res.String())
+		fmt.Fprintln(stdout, res.String())
 	}
+	return 0
 }

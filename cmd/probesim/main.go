@@ -4,13 +4,13 @@
 // interfaces with the passive probe pipeline — streaming, like the
 // paper's probes: frames flow from the simulator (or a recorded binary
 // trace) straight into the sharded pipeline without ever materializing
-// the capture. The merged measurement becomes a core.Dataset and runs
-// through the same analysis API the synthetic data flows through.
+// the capture. Each shard feeds a rollup builder that aggregates
+// epoch-sealed (service, commune, bin) cells online; the merged partial
+// becomes a core.Dataset and runs through the same analysis API the
+// synthetic data flows through.
 //
-// With -snapshot the run additionally feeds the rollup store: each
-// shard builds epoch-sealed (service, commune, bin) aggregates online,
-// and the merged partial persists to a snapshot file that cmd/analyze
-// -snapshot analyzes directly — produce once, analyze many.
+// With -snapshot the partial also persists to a snapshot file that
+// cmd/analyze -snapshot analyzes directly — produce once, analyze many.
 package main
 
 import (
@@ -97,7 +97,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	c.Say("measured volume: DL %s, UL %s\n\n",
 		report.Bytes(rep.TotalBytes[services.DL]), report.Bytes(rep.TotalBytes[services.UL]))
-	if part != nil {
+	if c.Snapshot != "" {
 		fmt.Fprintf(stdout, "wrote rollup snapshot (%d epochs, %d services, %d late frames) to %s\n",
 			len(part.Epochs), len(part.Services), part.LateFrames, c.Snapshot)
 		c.Say("analyze with: analyze -snapshot %s\n", c.Snapshot)
@@ -133,10 +133,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Materialize the merged measurement and rank it through the
+	// Materialize the sealed partial and rank it through the
 	// analysis API — next to the ground truth when it exists (live
 	// simulation; a replayed trace carries no generator state).
-	mds, err := measured.FromProbeGrid(rep, c.Country, c.Catalog, c.ProbeCfg.Start, c.ProbeCfg.Step, c.ProbeCfg.Bins)
+	agg, err := part.Aggregate(c.Country)
+	if err != nil {
+		return daemon.Exit(stderr, err)
+	}
+	mds, err := measured.FromAggregate(agg, c.Catalog)
 	if err != nil {
 		return daemon.Exit(stderr, err)
 	}

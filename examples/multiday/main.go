@@ -40,7 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pcfg := daemon.ProbeConfig(country, winFrom, winTo)
+		pcfg := daemon.ProbeConfig(winFrom, winTo)
 		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)
 		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
 		rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())

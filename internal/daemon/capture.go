@@ -22,11 +22,11 @@ import (
 
 // Capture is the capture plane probesim and probed both run: a frame
 // source (live gtpsim simulation or recorded trace) streamed through
-// the sharded probe pipeline, with an optional rollup collector behind
-// it. probed attaches a shipper's seal hook to the plane probesim runs
-// bare, so its run over -window A:B is the networked twin of probesim's
-// by construction. NewCapture registers the flags, Open assembles, Run
-// runs once.
+// the sharded probe pipeline into a rollup collector, the run's one
+// per-service aggregate. probed attaches a shipper's seal hook to the
+// plane probesim runs bare, so its run over -window A:B is the
+// networked twin of probesim's by construction. NewCapture registers
+// the flags, Open assembles, Run runs once.
 type Capture struct {
 	// The shared flags.
 	Sessions int
@@ -47,7 +47,6 @@ type Capture struct {
 	From, To int                  // the observation window, in bins of the study week
 	Stream   *gtpsim.Stream       // the live generator; nil when replaying -trace
 	Cells    *gtpsim.CellRegistry // rebuilt from -seed when replaying
-	ProbeCfg probe.Config
 	// RollupCfg and Pipeline.Shards() are what a seal-hook consumer (the
 	// shipper) is configured with before Run.
 	RollupCfg rollup.Config
@@ -111,8 +110,8 @@ func SimConfig(sessions int, seed uint64, from, to int) gtpsim.Config {
 // [from, to): the window plus slack for session tails, clamped to the
 // week so windowed grids stay sub-grids of the full-week grid and their
 // snapshots merge back onto it (and union cleanly at an aggregator).
-func ProbeConfig(country *geo.Country, from, to int) probe.Config {
-	cfg := probe.ConfigFor(country)
+func ProbeConfig(from, to int) probe.Config {
+	cfg := probe.DefaultConfig()
 	cfg.Start = binStart(from)
 	cfg.Bins = min(to+spillSlackBins, WeekBins) - from
 	return cfg
@@ -161,9 +160,9 @@ func (c *Capture) Open(stdout, stderr io.Writer, component string) (err error) {
 		c.Close()
 		return err
 	}
-	c.ProbeCfg = ProbeConfig(c.Country, c.From, c.To)
-	c.RollupCfg = rollup.ConfigFrom(c.ProbeCfg, geo.SmallConfig())
-	c.Pipeline = probe.NewPipeline(c.ProbeCfg, c.Cells, dpi.NewClassifier(c.Catalog), c.Shards).
+	pcfg := ProbeConfig(c.From, c.To)
+	c.RollupCfg = rollup.ConfigFrom(pcfg, geo.SmallConfig())
+	c.Pipeline = probe.NewPipeline(pcfg, c.Cells, dpi.NewClassifier(c.Catalog), c.Shards).
 		WithMetrics(probe.NewMetrics(c.Reg, c.Shards))
 	return nil
 }
@@ -179,28 +178,20 @@ func (c *Capture) Close() {
 // Run streams the source through the pipeline until it drains or ctx
 // is cancelled — cancellation cuts the source, so everything downstream
 // runs its normal end-of-stream path on what was measured, as it does
-// (with a log line) when the source breaks mid-stream. A rollup
-// collector rides along when something consumes one: sealHook (called
-// per sealed epoch, from shard goroutines) or -snapshot, written once
-// the partial is complete. With neither, none is built and the partial
-// is nil.
+// (with a log line) when the source breaks mid-stream. Every shard feeds
+// a rollup builder; the sealed partial, checked against the probes'
+// counters, is returned and, with -snapshot, written. sealHook, when
+// set, sees each epoch as it seals (from shard goroutines).
 func (c *Capture) Run(ctx context.Context, sealHook func(shard int, ep rollup.Epoch, nameOf func(svc uint32) string)) (*probe.Report, *rollup.Partial, error) {
 	stop := capture.NewStopSource(capture.NewCountingSource(c.src, c.Reg))
 	defer context.AfterFunc(ctx, stop.Stop)()
-	var col *rollup.Collector
-	if sealHook != nil || c.Snapshot != "" {
-		col = rollup.NewCollector(c.RollupCfg, c.Pipeline.Shards()).WithMetrics(rollup.NewMetrics(c.Reg))
-		if sealHook != nil {
-			col.WithSealHook(sealHook)
-		}
-		c.Pipeline.WithSinks(col.Sink)
+	col := rollup.NewCollector(c.RollupCfg, c.Pipeline.Shards()).WithMetrics(rollup.NewMetrics(c.Reg))
+	if sealHook != nil {
+		col.WithSealHook(sealHook)
 	}
-	rep, err := c.Pipeline.Run(stop)
+	rep, err := c.Pipeline.WithSinks(col.Sink).Run(stop)
 	if err != nil {
 		c.Log.Errorf("capture broke mid-stream: %v (continuing with what was measured)", err)
-	}
-	if col == nil {
-		return rep, nil, nil
 	}
 	part, err := col.Finish(rep)
 	if err != nil {

@@ -15,34 +15,42 @@ import (
 	"repro/internal/peaks"
 	"repro/internal/probe"
 	"repro/internal/report"
+	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 // ProbeExperiment exercises the packet path end to end: simulate the
 // network of Fig. 1 at small scale, run the passive probe, report the
 // DPI classification rate (paper: 88%) and the ULI localization
-// accuracy (paper: median ≈ 3 km), then materialize the measurement
-// into a core.Dataset and push it through the same Analyzer the
-// synthetic data flows through.
+// accuracy (paper: median ≈ 3 km), then materialize the rollup the
+// shards built into a core.Dataset and push it through the same
+// Analyzer the synthetic data flows through.
 func (e *Env) ProbeExperiment(ctx context.Context) (Result, error) {
 	res := Result{ID: "probe", Title: "Packet pipeline validation", Metrics: map[string]float64{}}
 	// A dedicated small country keeps the packet path tractable
 	// regardless of the analysis-scale dataset in the env.
-	country := geo.Generate(geo.SmallConfig())
+	geoCfg := geo.SmallConfig()
+	country := geo.Generate(geoCfg)
 	catalog := services.Catalog()
 	cfg := gtpsim.DefaultConfig()
 	sim, err := gtpsim.New(country, catalog, cfg)
 	if err != nil {
 		return res, err
 	}
-	// Stream the capture through the sharded pipeline — the paper's
-	// online ingestion path; nothing materializes the trace. Two
-	// shards keep the demonstration parallel without competing with
-	// the experiment engine's own worker pool.
+	// Stream the capture through the sharded pipeline into the rollup
+	// builders — the paper's online ingestion path; nothing materializes
+	// the trace. Two shards keep the demonstration parallel without
+	// competing with the experiment engine's own worker pool.
 	st := sim.Stream()
-	rep, err := probe.NewPipeline(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 2).Run(st)
+	pcfg := probe.DefaultConfig()
+	pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)
+	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geoCfg), pl.Shards())
+	rep, err := pl.WithSinks(col.Sink).Run(st)
+	if err != nil {
+		return res, err
+	}
+	part, err := col.Finish(rep)
 	if err != nil {
 		return res, err
 	}
@@ -67,10 +75,15 @@ func (e *Env) ProbeExperiment(ctx context.Context) (Result, error) {
 	res.Metrics["decode_errors"] = float64(rep.DecodeErrors)
 	res.Metrics["ul_over_dl"] = rep.TotalBytes[services.UL] / rep.TotalBytes[services.DL]
 
-	// Close the loop: the probe's aggregates become a dataset and run
-	// through the analysis API. The measured downlink ranking must
-	// rank-correlate with the generating catalogue shares.
-	mds, err := measured.FromProbe(rep, country, catalog, timeseries.DefaultStep)
+	// Close the loop: the sealed partial becomes a dataset over the
+	// country built above and runs through the analysis API. The
+	// measured downlink ranking must rank-correlate with the generating
+	// catalogue shares.
+	agg, err := part.Aggregate(country)
+	if err != nil {
+		return res, err
+	}
+	mds, err := measured.FromAggregate(agg, catalog)
 	if err != nil {
 		return res, err
 	}

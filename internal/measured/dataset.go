@@ -1,9 +1,9 @@
-// Package measured materializes a core.Dataset from the passive
-// probe's aggregation output, closing the loop the paper's pipeline
-// draws in Fig. 1: packets are tapped on the Gn/S5 interfaces,
-// classified by DPI, geo-referenced by ULI tracking — and the
-// resulting per-(service, direction, commune, time) aggregates feed
-// the exact analysis code the synthetic generator feeds.
+// Package measured materializes a core.Dataset from the measurement
+// plane's output, closing the loop the paper's pipeline draws in Fig. 1:
+// packets are tapped on the Gn/S5 interfaces, classified by DPI,
+// geo-referenced by ULI tracking, rolled up per (service, direction,
+// commune, time bin) — and the resulting Aggregate feeds the exact
+// analysis code the synthetic generator feeds.
 //
 // The package also provides Materialize, which deep-copies any
 // core.Dataset into the same concrete representation. That is the
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/probe"
 	"repro/internal/services"
 	"repro/internal/timeseries"
 )
@@ -39,46 +38,25 @@ type Dataset struct {
 
 var _ core.Dataset = (*Dataset)(nil)
 
-// FromProbe builds a dataset from a probe measurement report over the
-// default grid — the study week from timeseries.StudyStart. step
-// defaults to timeseries.DefaultStep. See FromProbeGrid.
-func FromProbe(rep *probe.Report, country *geo.Country, catalog []services.Service, step time.Duration) (*Dataset, error) {
-	if step <= 0 {
-		step = timeseries.DefaultStep
-	}
-	return FromProbeGrid(rep, country, catalog, timeseries.StudyStart, step, int(timeseries.Week/step))
-}
-
-// FromProbeGrid builds a dataset from a probe measurement report on an
-// explicit time grid: bins samples of step starting at start. The
-// windowed dataset views of the rollup store (rollup.Window) use it to
-// materialize per-day or per-weekend slices whose series do not start
-// at the study epoch. Only services of the catalogue the probe
-// actually observed (non-zero classified bytes in either direction)
-// enter the dataset, preserving catalogue order.
-//
-// Group (per-urbanization-class) series come straight from the
-// report when the probe was configured with probe.ConfigFor (i.e.
-// Report.SvcClassSeries is populated); otherwise each class series is
-// approximated as the national series scaled by the class's share of
-// the service's spatial volume.
-func FromProbeGrid(rep *probe.Report, country *geo.Country, catalog []services.Service,
-	start time.Time, step time.Duration, bins int) (*Dataset, error) {
-
-	if step <= 0 || bins <= 0 {
-		return nil, fmt.Errorf("measured: grid of %d bins at step %v is not a time binning", bins, step)
+// FromAggregate builds a dataset from a classified-traffic aggregate on
+// the aggregate's own grid. Only services of the catalogue that carried
+// traffic (non-zero bytes in either direction) enter the dataset,
+// preserving catalogue order.
+func FromAggregate(a *Aggregate, catalog []services.Service) (*Dataset, error) {
+	if a.Step <= 0 || a.Bins <= 0 {
+		return nil, fmt.Errorf("measured: grid of %d bins at step %v is not a time binning", a.Bins, a.Step)
 	}
 	var kept []services.Service
 	for _, svc := range catalog {
-		if rep.BytesOf(services.DL, svc.Name) > 0 || rep.BytesOf(services.UL, svc.Name) > 0 {
+		if a.BytesOf(services.DL, svc.Name) > 0 || a.BytesOf(services.UL, svc.Name) > 0 {
 			kept = append(kept, svc)
 		}
 	}
 	if len(kept) == 0 {
-		return nil, fmt.Errorf("measured: report contains no classified traffic for any of the %d catalogue services", len(catalog))
+		return nil, fmt.Errorf("measured: aggregate contains no classified traffic for any of the %d catalogue services", len(catalog))
 	}
-	d := &Dataset{catalog: kept, country: country, step: step}
-	nCommunes := len(country.Communes)
+	country := a.Country
+	d := &Dataset{catalog: kept, country: country, step: a.Step}
 	for i := range country.Communes {
 		d.classSubs[country.Communes[i].Urbanization] += country.Communes[i].Subscribers
 	}
@@ -87,64 +65,28 @@ func FromProbeGrid(rep *probe.Report, country *geo.Country, catalog []services.S
 		d.group[dir] = make([][geo.NumUrbanization]*timeseries.Series, len(kept))
 		d.spatial[dir] = make([][]float64, len(kept))
 		for s, svc := range kept {
-			// National series: the measured time-binned volume; a
-			// zeroed grid when the direction carried nothing. The
-			// report's binning must agree with the requested grid, or
-			// the dataset would mix time resolutions.
-			if meas := rep.SeriesOf(dir, svc.Name); meas != nil {
-				if meas.Step != step || !meas.Start.Equal(start) {
-					return nil, fmt.Errorf("measured: report bins %s at %v from %v, want %v from %v — pass the probe's configured grid",
-						svc.Name, meas.Step, meas.Start, step, start)
-				}
+			// A direction that carried nothing gets zeroed grids.
+			d.spatial[dir][s] = make([]float64, len(country.Communes))
+			copy(d.spatial[dir][s], a.CommuneBytesOf(dir, svc.Name))
+			if meas := a.SeriesOf(dir, svc.Name); meas != nil {
 				d.national[dir][s] = meas.Clone()
 			} else {
-				d.national[dir][s] = timeseries.New(start, step, bins)
+				d.national[dir][s] = timeseries.New(a.Start, a.Step, a.Bins)
 			}
-			// Spatial vector from the dense per-commune accounting (the
-			// report's commune space matches the geography on every
-			// sane wiring; copy defensively and size to the country).
-			spatial := make([]float64, nCommunes)
-			per := rep.CommuneBytesOf(dir, svc.Name)
-			copy(spatial, per)
-			d.spatial[dir][s] = spatial
-			d.group[dir][s] = groupSeriesFor(rep, dir, svc.Name, d.national[dir][s], spatial, country)
+			cls := a.ClassSeriesOf(dir, svc.Name)
+			for u := range d.group[dir][s] {
+				if cls != nil {
+					d.group[dir][s][u] = cls[u].Clone()
+				} else {
+					d.group[dir][s][u] = timeseries.New(a.Start, a.Step, a.Bins)
+				}
+			}
 		}
 		// A probe sees no long tail beyond its DPI catalogue; the
 		// rank-size population is the named services alone.
 		d.tail[dir] = nil
 	}
 	return d, nil
-}
-
-// groupSeriesFor assembles the per-class series of one service:
-// measured directly when available, otherwise the national shape
-// split by the class spatial shares.
-func groupSeriesFor(rep *probe.Report, dir services.Direction, name string,
-	national *timeseries.Series, spatial []float64, country *geo.Country) [geo.NumUrbanization]*timeseries.Series {
-
-	var out [geo.NumUrbanization]*timeseries.Series
-	if cls := rep.ClassSeriesOf(dir, name); cls != nil {
-		for u := 0; u < geo.NumUrbanization; u++ {
-			out[u] = cls[u].Clone()
-		}
-		return out
-	}
-	var classVol [geo.NumUrbanization]float64
-	var total float64
-	for i, v := range spatial {
-		classVol[country.Communes[i].Urbanization] += v
-		total += v
-	}
-	for u := 0; u < geo.NumUrbanization; u++ {
-		s := national.Clone()
-		share := 0.0
-		if total > 0 {
-			share = classVol[u] / total
-		}
-		s.Scale(share)
-		out[u] = s
-	}
-	return out
 }
 
 // Materialize deep-copies any core.Dataset into the concrete

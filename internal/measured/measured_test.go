@@ -16,6 +16,7 @@ import (
 	"repro/internal/gtpsim"
 	"repro/internal/measured"
 	"repro/internal/probe"
+	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/synth"
 	"repro/internal/timeseries"
@@ -44,10 +45,9 @@ func synthDataset(t *testing.T) *synth.Dataset {
 }
 
 // probeDataset memoizes a probe-measured dataset: stream the small
-// country's packet plane through the sharded pipeline and materialize
-// the merged report — FromProbe consumes it exactly as it would a
-// single probe's (the merge is exact, so the dataset is identical at
-// any shard count).
+// country's packet plane through the sharded pipeline into the rollup
+// collector and materialize the sealed partial's aggregate (the shard
+// merge is exact, so the dataset is identical at any shard count).
 func probeDataset(t *testing.T) (*measured.Dataset, *geo.Country) {
 	t.Helper()
 	probeOnce.Do(func() {
@@ -58,14 +58,26 @@ func probeDataset(t *testing.T) (*measured.Dataset, *geo.Country) {
 			probeErr = err
 			return
 		}
-		pl := probe.NewPipeline(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 0)
-		rep, err := pl.Run(sim.Stream())
+		pcfg := probe.DefaultConfig()
+		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 0)
+		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+		rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())
+		if err != nil {
+			probeErr = err
+			return
+		}
+		part, err := col.Finish(rep)
+		if err != nil {
+			probeErr = err
+			return
+		}
+		agg, err := part.Aggregate(country)
 		if err != nil {
 			probeErr = err
 			return
 		}
 		probeCountry = country
-		probeDS, probeErr = measured.FromProbe(rep, country, catalog, timeseries.DefaultStep)
+		probeDS, probeErr = measured.FromAggregate(agg, catalog)
 	})
 	if probeErr != nil {
 		t.Fatal(probeErr)
@@ -308,49 +320,20 @@ func TestProbeDatasetThroughAnalyzer(t *testing.T) {
 	}
 }
 
-// TestFromProbeStepMismatch rejects a step that contradicts the
-// report's actual binning — the dataset must not mix resolutions.
-func TestFromProbeStepMismatch(t *testing.T) {
-	_, country := probeDataset(t) // memoized 15-minute report exists
-	catalog := services.Catalog()
-	sim, err := gtpsim.New(country, catalog, gtpsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, _ := sim.Run()
-	p := probe.New(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p.HandleFrame(f.Time, f.Data)
-	}
-	if _, err := measured.FromProbe(p.Report(), country, catalog, time.Hour); err == nil {
-		t.Error("hourly step over a 15-minute report: want error")
-	}
-}
-
-// TestFromProbeGridWindowStart: the grid-parameterized constructor
-// accepts a report binned off the study epoch — the windowed dataset
-// views of the rollup store — and pins the grid onto every series,
-// while the plain FromProbe keeps rejecting such a report.
-func TestFromProbeGridWindowStart(t *testing.T) {
+// TestFromAggregateWindowStart: the dataset takes the aggregate's own
+// grid — a window off the study epoch, as the rollup store's windowed
+// views produce — and pins it onto every series; a grid with no bins is
+// not a time binning.
+func TestFromAggregateWindowStart(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
+	names := services.DefaultNames()
+	yt, _ := names.Lookup("YouTube")
 	start := timeseries.StudyStart.Add(24 * time.Hour) // day 1, not the epoch
 	const bins = 96
-	cfg := probe.ConfigFor(country)
-	cfg.Start, cfg.Bins = start, bins
-	simCfg := gtpsim.DefaultConfig()
-	simCfg.Sessions = 150
-	simCfg.Start, simCfg.Duration = start, time.Duration(bins)*timeseries.DefaultStep
-	sim, err := gtpsim.New(country, catalog, simCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, _ := sim.Run()
-	p := probe.New(cfg, sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p.HandleFrame(f.Time, f.Data)
-	}
-	ds, err := measured.FromProbeGrid(p.Report(), country, catalog, start, timeseries.DefaultStep, bins)
+	agg := measured.NewAggregate(names, country, start, timeseries.DefaultStep, bins)
+	agg.Add(services.DL, yt, 0, 5, 1000)
+	ds, err := measured.FromAggregate(agg, catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,22 +341,20 @@ func TestFromProbeGridWindowStart(t *testing.T) {
 	if !s.Start.Equal(start) || s.Len() != bins {
 		t.Errorf("windowed series grid %v/%d, want %v/%d", s.Start, s.Len(), start, bins)
 	}
-	if _, err := measured.FromProbe(p.Report(), country, catalog, timeseries.DefaultStep); err == nil {
-		t.Error("FromProbe accepted a report binned off the study epoch")
-	}
-	if _, err := measured.FromProbeGrid(p.Report(), country, catalog, start, timeseries.DefaultStep, 0); err == nil {
-		t.Error("FromProbeGrid accepted a zero-bin grid")
+	empty := measured.NewAggregate(names, country, start, timeseries.DefaultStep, 0)
+	empty.Add(services.DL, yt, 0, 5, 1000)
+	if _, err := measured.FromAggregate(empty, catalog); err == nil {
+		t.Error("FromAggregate accepted a zero-bin grid")
 	}
 }
 
-// TestFromProbeEmptyReport rejects a report with no classified
+// TestFromAggregateEmpty rejects an aggregate with no classified
 // traffic.
-func TestFromProbeEmptyReport(t *testing.T) {
+func TestFromAggregateEmpty(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
-	p := probe.New(probe.ConfigFor(country), gtpsim.BuildCells(country, 1), dpi.NewClassifier(catalog))
-	if _, err := measured.FromProbe(p.Report(), country, catalog, timeseries.DefaultStep); err == nil {
-		t.Error("empty report: want error")
+	agg := measured.NewAggregate(services.DefaultNames(), country, timeseries.StudyStart, timeseries.DefaultStep, 672)
+	if _, err := measured.FromAggregate(agg, services.Catalog()); err == nil {
+		t.Error("empty aggregate: want error")
 	}
 }
 

@@ -45,5 +45,12 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the listener. In-flight scrapes are abandoned; the
-// daemons only call this on the way out.
-func (s *Server) Close() error { return s.srv.Close() }
+// daemons only call this on the way out. The listener is closed here,
+// not only by the serving goroutine: a Close that lands before that
+// goroutine has started would otherwise return with the port still
+// bound.
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	s.ln.Close()
+	return err
+}

@@ -20,7 +20,7 @@ func allocProbe(t *testing.T) (*Probe, []byte) {
 	t.Helper()
 	country := geo.Generate(geo.SmallConfig())
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(ConfigFor(country), cells, dpi.NewClassifier(services.Catalog()))
+	p := New(DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
 
 	cell := &cells.Cells[0]
 	create := &pkt.GTPv2C{MessageType: pkt.GTPv2MsgCreateSessionRequest, TEID: 1, Sequence: 1,
@@ -42,16 +42,14 @@ func allocProbe(t *testing.T) (*Probe, []byte) {
 }
 
 // TestHandleFrameSteadyStateAllocs pins the probe's zero-allocation
-// hot path: once a flow is classified and its accumulators exist,
-// accounting a further data frame of that flow allocates nothing —
-// decode, direction, ULI lookup, DPI memo hit, byte accounting and
-// time binning are all in-place. Budget: exactly zero, so any future
-// per-frame garbage fails loudly.
+// hot path: once a flow is classified, accounting a further data frame
+// of that flow allocates nothing — decode, direction, ULI lookup, DPI
+// memo hit and the counters are all in-place. Budget: exactly zero, so
+// any future per-frame garbage fails loudly.
 func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	p, data := allocProbe(t)
 	at := timeseries.StudyStart.Add(time.Hour)
-	// Warm-up: classifies the flow, creates the series and commune
-	// accumulators.
+	// Warm-up: classifies the flow.
 	p.HandleFrame(at, data)
 	allocs := testing.AllocsPerRun(200, func() {
 		p.HandleFrame(at, data)
@@ -66,8 +64,8 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 
 // TestHandleFrameAmortizedAllocs bounds the amortized cost including
 // cold starts: replaying the same capture into a fresh probe twice,
-// the second pass (every flow cached, every accumulator grown) must
-// stay allocation-free even across many distinct flows and services.
+// the second pass (every flow and tunnel known) must stay
+// allocation-free even across many distinct flows and services.
 func TestHandleFrameAmortizedAllocs(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
@@ -78,18 +76,19 @@ func TestHandleFrameAmortizedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	p := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
+	p := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
 	feed := func() {
 		for _, f := range frames {
 			p.HandleFrame(f.Time, f.Data)
 		}
 	}
-	feed() // cold pass: builds flows, tunnels, series
+	feed() // cold pass: builds flows and tunnels
 	allocs := testing.AllocsPerRun(3, feed)
 	perFrame := allocs / float64(len(frames))
-	// The warm replay re-walks every flow and bin; nothing new should
-	// be created. A tiny budget absorbs map-internals noise.
-	if perFrame > 0.01 {
-		t.Errorf("warm replay allocates %.4f objects/frame over %d frames, want <= 0.01", perFrame, len(frames))
+	// The warm replay re-walks every flow; the probe keeps counters
+	// only, so nothing is created: the flow cache and the TEID map
+	// already hold every key. Budget: zero.
+	if perFrame > 0 {
+		t.Errorf("warm replay allocates %.4f objects/frame over %d frames, want 0", perFrame, len(frames))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
+	"repro/internal/measured"
 	"repro/internal/services"
 	"repro/internal/timeseries"
 )
@@ -30,9 +31,10 @@ func shardSweep() []int {
 	return out
 }
 
-// diffReports reports the first field where two reports disagree, in a
-// form small enough to read in a test log.
-func diffReports(t *testing.T, want, got *Report) {
+// diffReports reports where two runs disagree — counters first, then
+// the per-service aggregates of their observations — in a form small
+// enough to read in a test log.
+func diffReports(t *testing.T, want, got *Report, wantAgg, gotAgg *measured.Aggregate) {
 	t.Helper()
 	for d := services.Direction(0); d < services.NumDirections; d++ {
 		if want.TotalBytes[d] != got.TotalBytes[d] {
@@ -41,16 +43,16 @@ func diffReports(t *testing.T, want, got *Report) {
 		if want.ClassifiedBytes[d] != got.ClassifiedBytes[d] {
 			t.Errorf("%v ClassifiedBytes: %v != %v", d, got.ClassifiedBytes[d], want.ClassifiedBytes[d])
 		}
-		if !reflect.DeepEqual(want.SvcBytes[d], got.SvcBytes[d]) {
-			t.Errorf("%v SvcBytes differ: %d vs %d services", d, len(got.SvcBytes[d]), len(want.SvcBytes[d]))
+		if !reflect.DeepEqual(wantAgg.SvcBytes[d], gotAgg.SvcBytes[d]) {
+			t.Errorf("%v SvcBytes differ: %d vs %d services", d, len(gotAgg.SvcBytes[d]), len(wantAgg.SvcBytes[d]))
 		}
-		if !reflect.DeepEqual(want.SvcCommuneBytes[d], got.SvcCommuneBytes[d]) {
+		if !reflect.DeepEqual(wantAgg.SvcCommuneBytes[d], gotAgg.SvcCommuneBytes[d]) {
 			t.Errorf("%v SvcCommuneBytes differ", d)
 		}
-		if !reflect.DeepEqual(want.SvcSeries[d], got.SvcSeries[d]) {
+		if !reflect.DeepEqual(wantAgg.SvcSeries[d], gotAgg.SvcSeries[d]) {
 			t.Errorf("%v SvcSeries differ", d)
 		}
-		if !reflect.DeepEqual(want.SvcClassSeries[d], got.SvcClassSeries[d]) {
+		if !reflect.DeepEqual(wantAgg.SvcClassSeries[d], gotAgg.SvcClassSeries[d]) {
 			t.Errorf("%v SvcClassSeries differ", d)
 		}
 	}
@@ -70,13 +72,27 @@ func diffReports(t *testing.T, want, got *Report) {
 	}
 }
 
+// runSharded streams src through a pipeline whose every shard feeds one
+// shared reference sink, returning the counters and the aggregate.
+func runSharded(t *testing.T, country *geo.Country, cells *gtpsim.CellRegistry, shards int, src capture.Source) (*Report, *measured.Aggregate) {
+	t.Helper()
+	cls := dpi.NewClassifier(services.Catalog())
+	ref := newRefSink(DefaultConfig(), cls, country)
+	rep, err := NewPipeline(DefaultConfig(), cells, cls, shards).WithSinks(ref.shared).Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, ref.agg
+}
+
 // TestStreamingMatchesMaterializedReport is the conformance contract
 // of the redesign: a gtpsim run consumed via capture.Source through
-// the sharded pipeline must produce a report identical to the legacy
-// materialized []Frame path through a single probe — at every shard
-// count. Identity is exact (reflect.DeepEqual over every float),
-// because all accounting sums integer-valued byte counts and the
-// router keeps per-tunnel state shard-local.
+// the sharded pipeline must produce counters and an observation stream
+// (folded by the reference sink) identical to the legacy materialized
+// []Frame path through a single probe — at every shard count. Identity
+// is exact (reflect.DeepEqual over every float), because all accounting
+// sums integer-valued byte counts and the router keeps per-tunnel state
+// shard-local.
 func TestStreamingMatchesMaterializedReport(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
@@ -90,11 +106,14 @@ func TestStreamingMatchesMaterializedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	legacy := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
+	cls := dpi.NewClassifier(catalog)
+	legacy := New(DefaultConfig(), sim.Cells, cls)
+	ref := newRefSink(DefaultConfig(), cls, country)
+	legacy.SetSink(ref)
 	for _, f := range frames {
 		legacy.HandleFrame(f.Time, f.Data)
 	}
-	want := legacy.Report()
+	want, wantAgg := legacy.Report(), ref.agg
 
 	for _, shards := range shardSweep() {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
@@ -104,13 +123,9 @@ func TestStreamingMatchesMaterializedReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl := NewPipeline(ConfigFor(country), sim2.Cells, dpi.NewClassifier(catalog), shards)
-			got, err := pl.Run(sim2.Stream())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				diffReports(t, want, got)
+			got, gotAgg := runSharded(t, country, sim2.Cells, shards, sim2.Stream())
+			if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantAgg, gotAgg) {
+				diffReports(t, want, got, wantAgg, gotAgg)
 				t.Fatal("streamed/sharded report differs from the materialized single-probe report")
 			}
 		})
@@ -143,21 +158,15 @@ func TestPipelineTraceReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewPipeline(ConfigFor(country), sim2.Cells, dpi.NewClassifier(catalog), 2).Run(sim2.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
+	live, liveAgg := runSharded(t, country, sim2.Cells, 2, sim2.Stream())
 
 	rd, err := capture.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := NewPipeline(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 2).Run(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		diffReports(t, live, replayed)
+	replayed, replayedAgg := runSharded(t, country, sim.Cells, 2, rd)
+	if !reflect.DeepEqual(live, replayed) || !reflect.DeepEqual(liveAgg, replayedAgg) {
+		diffReports(t, live, replayed, liveAgg, replayedAgg)
 		t.Fatal("trace replay report differs from the live stream report")
 	}
 }
@@ -191,71 +200,22 @@ func TestPipelineDefaultShards(t *testing.T) {
 	}
 }
 
-// TestMergeRejectsMisalignedSeries pins the Merge error contract on
-// reports binned differently.
-func TestMergeRejectsMisalignedSeries(t *testing.T) {
-	names := services.NewNames([]string{"YouTube"})
-	yt, _ := names.Lookup("YouTube")
-	mk := func(step int) *Report {
-		rep := NewReport(names, 0)
-		rep.SvcSeries[DL][yt] = timeseries.New(timeseries.StudyStart, timeseries.DefaultStep*2, step)
-		return rep
+// TestMergeSumsCounters pins the counters-only Merge shard reports
+// combine through: every counter sums, and the source is left alone.
+func TestMergeSumsCounters(t *testing.T) {
+	a := &Report{UserPlanePackets: 3, DecodeErrors: 1}
+	a.ClassifiedBytes[DL] = 5
+	b := &Report{UserPlanePackets: 2, UnknownTEID: 4}
+	b.ClassifiedBytes[DL] = 7
+	b.TotalBytes[UL] = 9
+	a.Merge(b)
+	want := &Report{UserPlanePackets: 5, DecodeErrors: 1, UnknownTEID: 4}
+	want.ClassifiedBytes[DL] = 12
+	want.TotalBytes[UL] = 9
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("merged report %+v, want %+v", a, want)
 	}
-	a, b := mk(10), mk(20)
-	if err := a.Merge(b); err == nil {
-		t.Error("merge of misaligned series succeeded")
-	}
-	// Aligned reports merge, and values sum.
-	c, d := mk(10), mk(10)
-	c.SvcSeries[DL][yt].Values[3] = 5
-	d.SvcSeries[DL][yt].Values[3] = 7
-	d.UserPlanePackets = 2
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.SvcSeries[DL][yt].Values[3]; got != 12 {
-		t.Errorf("merged sample = %v, want 12", got)
-	}
-	if c.UserPlanePackets != 2 {
-		t.Errorf("merged UserPlanePackets = %d, want 2", c.UserPlanePackets)
-	}
-	// Merge must not alias the source's series.
-	d.SvcSeries[DL][yt].Values[4] = 99
-	e := mk(10)
-	if err := e.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	d.SvcSeries[DL][yt].Values[4] = 1
-	if e.SvcSeries[DL][yt].Values[4] != 99 {
-		t.Error("merged report aliases the source series")
-	}
-}
-
-// TestMergeGrowsCommuneSpace pins the dense-vector robustness: merging
-// a report over a larger commune space grows the destination's
-// vectors instead of indexing out of range (the map representation
-// accepted any commune key; the slices must too).
-func TestMergeGrowsCommuneSpace(t *testing.T) {
-	names := services.NewNames([]string{"YouTube"})
-	yt, _ := names.Lookup("YouTube")
-	small := NewReport(names, 2)
-	small.SvcCommuneBytes[DL][yt] = []float64{1, 2}
-	big := NewReport(names, 5)
-	big.SvcCommuneBytes[DL][yt] = []float64{0, 0, 0, 0, 7}
-	if err := small.Merge(big); err != nil {
-		t.Fatal(err)
-	}
-	got := small.SvcCommuneBytes[DL][yt]
-	want := []float64{1, 2, 0, 0, 7}
-	if len(got) != len(want) {
-		t.Fatalf("merged commune vector has %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged commune vector %v, want %v", got, want)
-		}
-	}
-	if small.Communes != 5 {
-		t.Errorf("merged Communes = %d, want 5", small.Communes)
+	if b.UserPlanePackets != 2 || b.ClassifiedBytes[DL] != 7 {
+		t.Errorf("merge mutated its source: %+v", b)
 	}
 }

@@ -11,14 +11,17 @@ import (
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
+	"repro/internal/measured"
 	"repro/internal/pkt"
 	"repro/internal/services"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
 
-// runPipeline simulates a workload and feeds it through a probe.
-func runPipeline(t *testing.T, cfg gtpsim.Config) (*gtpsim.Simulator, *gtpsim.Stats, *Report) {
+// runPipeline simulates a workload and feeds it through a probe with a
+// reference sink attached, returning the probe's counters and the
+// per-service aggregate of its observations.
+func runPipeline(t *testing.T, cfg gtpsim.Config) (*gtpsim.Simulator, *gtpsim.Stats, *Report, *measured.Aggregate) {
 	t.Helper()
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
@@ -27,15 +30,18 @@ func runPipeline(t *testing.T, cfg gtpsim.Config) (*gtpsim.Simulator, *gtpsim.St
 		t.Fatal(err)
 	}
 	frames, truth := sim.Run()
-	p := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
+	cls := dpi.NewClassifier(catalog)
+	p := New(DefaultConfig(), sim.Cells, cls)
+	ref := newRefSink(DefaultConfig(), cls, country)
+	p.SetSink(ref)
 	for _, f := range frames {
 		p.HandleFrame(f.Time, f.Data)
 	}
-	return sim, truth, p.Report()
+	return sim, truth, p.Report(), ref.agg
 }
 
 func TestPipelineNoDecodeErrors(t *testing.T) {
-	_, truth, rep := runPipeline(t, gtpsim.DefaultConfig())
+	_, truth, rep, _ := runPipeline(t, gtpsim.DefaultConfig())
 	if rep.DecodeErrors != 0 {
 		t.Errorf("%d decode errors on clean frames", rep.DecodeErrors)
 	}
@@ -52,7 +58,7 @@ func TestPipelineNoDecodeErrors(t *testing.T) {
 }
 
 func TestClassificationRateNear88Percent(t *testing.T) {
-	_, _, rep := runPipeline(t, gtpsim.DefaultConfig())
+	_, _, rep, _ := runPipeline(t, gtpsim.DefaultConfig())
 	rate := rep.ClassificationRate()
 	// The workload routes 12% of sessions through unfingerprinted
 	// endpoints; measured byte rate fluctuates with session sizes.
@@ -62,7 +68,7 @@ func TestClassificationRateNear88Percent(t *testing.T) {
 }
 
 func TestMeasuredVolumesMatchGroundTruth(t *testing.T) {
-	_, truth, rep := runPipeline(t, gtpsim.DefaultConfig())
+	_, truth, rep, _ := runPipeline(t, gtpsim.DefaultConfig())
 	// The probe counts inner-IP bytes (headers included); ground truth
 	// counts payload bytes. 40 bytes per ≤1340-byte segment bounds the
 	// gap at ~10%.
@@ -75,19 +81,19 @@ func TestMeasuredVolumesMatchGroundTruth(t *testing.T) {
 }
 
 func TestPerServiceSharesMatch(t *testing.T) {
-	_, truth, rep := runPipeline(t, gtpsim.DefaultConfig())
+	_, truth, _, agg := runPipeline(t, gtpsim.DefaultConfig())
 	var truthTotal, measTotal float64
 	for _, v := range truth.SvcBytesDL {
 		truthTotal += v
 	}
-	for _, v := range rep.SvcBytes[DL] {
+	for _, v := range agg.SvcBytes[DL] {
 		measTotal += v
 	}
 	for svc, tv := range truth.SvcBytesDL {
 		if tv < truthTotal*0.01 {
 			continue // tiny services are statistically unstable here
 		}
-		mv := rep.BytesOf(DL, svc)
+		mv := agg.BytesOf(DL, svc)
 		truthShare := tv / truthTotal
 		measShare := mv / measTotal
 		if math.Abs(measShare-truthShare) > 0.25*truthShare+0.005 {
@@ -97,14 +103,14 @@ func TestPerServiceSharesMatch(t *testing.T) {
 }
 
 func TestPerCommuneAttributionCorrelates(t *testing.T) {
-	sim, truth, rep := runPipeline(t, gtpsim.DefaultConfig())
+	sim, truth, _, agg := runPipeline(t, gtpsim.DefaultConfig())
 	n := len(sim.Country.Communes)
 	truthVec := make([]float64, n)
 	measVec := make([]float64, n)
 	for c, v := range truth.CommuneBytesDL {
 		truthVec[c] = v
 	}
-	for _, per := range rep.SvcCommuneBytes[DL] {
+	for _, per := range agg.SvcCommuneBytes[DL] {
 		for c, v := range per {
 			measVec[c] += v
 		}
@@ -140,7 +146,7 @@ func TestPerCommuneAttributionCorrelates(t *testing.T) {
 }
 
 func TestMedianULIErrorNear3Km(t *testing.T) {
-	_, truth, _ := runPipeline(t, gtpsim.DefaultConfig())
+	_, truth, _, _ := runPipeline(t, gtpsim.DefaultConfig())
 	med := truth.MedianULIError()
 	// Paper: "the median error of ULI is around 3 km".
 	if med < 1.5 || med > 4.5 {
@@ -151,7 +157,7 @@ func TestMedianULIErrorNear3Km(t *testing.T) {
 func TestMeasuredSeriesAlignsWithProfile(t *testing.T) {
 	// The measured national series of a large service must correlate
 	// with its generating weekly profile.
-	_, _, rep := runPipeline(t, gtpsim.Config{
+	_, _, _, agg := runPipeline(t, gtpsim.Config{
 		Sessions:            6000,
 		Start:               timeseries.StudyStart,
 		Duration:            timeseries.Week,
@@ -164,7 +170,7 @@ func TestMeasuredSeriesAlignsWithProfile(t *testing.T) {
 	catalog := services.Catalog()
 	yt := services.ByName(catalog, "YouTube")
 	prof := services.WeeklyProfile(yt, timeseries.DefaultStep, services.DL)
-	meas := rep.SeriesOf(DL, "YouTube")
+	meas := agg.SeriesOf(DL, "YouTube")
 	if meas == nil {
 		t.Fatal("no measured YouTube series")
 	}
@@ -194,7 +200,10 @@ func TestHandoverRelocatesTraffic(t *testing.T) {
 	catalog := services.Catalog()
 	cells := gtpsim.BuildCells(country, 1)
 
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(catalog))
+	cls := dpi.NewClassifier(catalog)
+	p := New(DefaultConfig(), cells, cls)
+	ref := newRefSink(DefaultConfig(), cls, country)
+	p.SetSink(ref)
 
 	cellA := &cells.Cells[0]
 	var cellB *gtpsim.Cell
@@ -231,8 +240,7 @@ func TestHandoverRelocatesTraffic(t *testing.T) {
 	p.HandleFrame(t0.Add(2*time.Second), mk(pkt.GTPv2MsgModifyBearerRequest, pkt.ULI{AreaCode: cellB.AreaCode, CellID: cellB.ID}))
 	p.HandleFrame(t0.Add(3*time.Second), data(500))
 
-	rep := p.Report()
-	per := rep.CommuneBytesOf(DL, "YouTube")
+	per := ref.agg.CommuneBytesOf(DL, "YouTube")
 	if per == nil {
 		t.Fatal("no YouTube commune bytes")
 	}
@@ -248,7 +256,10 @@ func TestUnknownTEIDCounted(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(catalog))
+	cls := dpi.NewClassifier(catalog)
+	p := New(DefaultConfig(), cells, cls)
+	ref := newRefSink(DefaultConfig(), cls, country)
+	p.SetSink(ref)
 
 	// A G-PDU for a TEID the probe never saw a Create for.
 	ue := [4]byte{10, 0, 0, 1}
@@ -268,9 +279,9 @@ func TestUnknownTEIDCounted(t *testing.T) {
 	if rep.TotalBytes[DL] == 0 {
 		t.Error("unattributed traffic should still count toward totals")
 	}
-	for svc, per := range rep.SvcCommuneBytes[DL] {
+	for svc, per := range ref.agg.SvcCommuneBytes[DL] {
 		if per != nil {
-			t.Errorf("unattributed traffic reached commune accounting of %s", rep.Names.Name(services.ID(svc)))
+			t.Errorf("unattributed traffic reached commune accounting of %s", ref.agg.Names.Name(services.ID(svc)))
 		}
 	}
 }
@@ -391,10 +402,9 @@ func BenchmarkProbePipeline(b *testing.B) {
 }
 
 func TestClassSeriesMeasured(t *testing.T) {
-	// With the commune-to-class registry configured, the probe bins
-	// classified traffic per urbanization class; class totals must
-	// reconcile exactly with the national series (same accounting
-	// conditions, different key).
+	// The observations bin per urbanization class of their commune;
+	// class totals must reconcile exactly with the national series
+	// (same accounting conditions, different key).
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
 	cfg := gtpsim.DefaultConfig()
@@ -404,13 +414,16 @@ func TestClassSeriesMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	p := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
+	classifier := dpi.NewClassifier(catalog)
+	p := New(DefaultConfig(), sim.Cells, classifier)
+	ref := newRefSink(DefaultConfig(), classifier, country)
+	p.SetSink(ref)
 	for _, f := range frames {
 		p.HandleFrame(f.Time, f.Data)
 	}
-	rep := p.Report()
+	agg := ref.agg
 	populated := 0
-	for svc, cls := range rep.SvcClassSeries[DL] {
+	for svc, cls := range agg.SvcClassSeries[DL] {
 		if cls == nil {
 			continue
 		}
@@ -419,25 +432,14 @@ func TestClassSeriesMeasured(t *testing.T) {
 		for u := range cls {
 			classTotal += cls[u].Total()
 		}
-		nat := rep.SvcSeries[DL][svc].Total()
+		nat := agg.SvcSeries[DL][svc].Total()
 		if math.Abs(classTotal-nat) > 1e-6*nat {
 			t.Errorf("%s: class totals %v != national series total %v",
-				rep.Names.Name(services.ID(svc)), classTotal, nat)
+				agg.Names.Name(services.ID(svc)), classTotal, nat)
 		}
 	}
 	if populated == 0 {
-		t.Fatal("no per-class series despite CommuneClasses")
-	}
-	// Without the registry the probe keeps its old behaviour.
-	p2 := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p2.HandleFrame(f.Time, f.Data)
-	}
-	for _, cls := range p2.Report().SvcClassSeries[DL] {
-		if cls != nil {
-			t.Error("class series populated without CommuneClasses")
-			break
-		}
+		t.Fatal("no per-class series")
 	}
 }
 

@@ -3,10 +3,12 @@ package rollup_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,29 +48,59 @@ func newFixture(t testing.TB, sessions int) *fixture {
 	return &fixture{country: country, catalog: catalog, cells: sim.Cells, frames: frames}
 }
 
-// run pushes the fixture's capture through the sharded pipeline,
-// optionally with a rollup collector attached, and returns the report
-// and (when collected) the sealed partial.
-func (fx *fixture) run(t testing.TB, shards int, collect bool) (*probe.Report, *rollup.Partial) {
-	t.Helper()
-	pl := probe.NewPipeline(probe.ConfigFor(fx.country), fx.cells, dpi.NewClassifier(fx.catalog), shards)
-	var col *rollup.Collector
-	if collect {
-		col = rollup.NewCollector(rollup.ConfigFrom(probe.ConfigFor(fx.country), geo.SmallConfig()), pl.Shards())
-		pl.WithSinks(col.Sink)
+// refSink is the reference per-service accumulation the rollup is
+// held to: every observation folded, frame by frame, into one
+// measured.Aggregate on the probe's grid. One refSink serves every shard
+// of a pipeline: the lock serializes them, and integer-valued byte sums
+// make the fold order irrelevant.
+type refSink struct {
+	mu  sync.Mutex
+	agg *measured.Aggregate
+}
+
+func (s *refSink) Observe(o probe.Observation) {
+	bin := -1 // before the grid
+	if !o.At.Before(s.agg.Start) {
+		bin = int(o.At.Sub(s.agg.Start) / s.agg.Step)
 	}
-	rep, err := pl.Run(capture.NewSliceSource(fx.frames))
+	s.mu.Lock()
+	s.agg.Add(o.Dir, o.Svc, o.Commune, bin, o.Bytes)
+	s.mu.Unlock()
+}
+
+// tee hands each observation to the shard's builder and the reference.
+type tee [2]probe.Sink
+
+func (t tee) Observe(o probe.Observation) {
+	t[0].Observe(o)
+	t[1].Observe(o)
+}
+
+// collect streams frames through a pipeline on the probe grid pcfg with
+// a rollup collector and the reference sink attached to every shard,
+// returning the sealed partial and the reference aggregate.
+func collect(t testing.TB, country *geo.Country, cells *gtpsim.CellRegistry, pcfg probe.Config, shards int, src capture.Source) (*rollup.Partial, *measured.Aggregate) {
+	t.Helper()
+	cls := dpi.NewClassifier(services.Catalog())
+	pl := probe.NewPipeline(pcfg, cells, cls, shards)
+	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+	ref := &refSink{agg: measured.NewAggregate(cls.Names(), country, pcfg.Start, pcfg.Step, pcfg.Bins)}
+	rep, err := pl.WithSinks(func(i int) probe.Sink { return tee{col.Sink(i), ref} }).Run(src)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !collect {
-		return rep, nil
 	}
 	part, err := col.Finish(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, part
+	return part, ref.agg
+}
+
+// run pushes the fixture's capture through the sharded pipeline on the
+// week grid.
+func (fx *fixture) run(t testing.TB, shards int) (*rollup.Partial, *measured.Aggregate) {
+	t.Helper()
+	return collect(t, fx.country, fx.cells, probe.DefaultConfig(), shards, capture.NewSliceSource(fx.frames))
 }
 
 // engineJSON runs the Figs. 2-11 suite over a dataset and returns the
@@ -93,15 +125,16 @@ func engineJSON(t testing.TB, ds core.Dataset) []byte {
 
 // TestEndToEndIdentity is the acceptance gate of the rollup store: for
 // the same seed, the experiment-engine JSON produced via a snapshot
-// round trip of the online rollup is byte-identical to the legacy
-// measured.FromProbe path, at 1, 2 and NumCPU shards.
+// round trip of the online rollup is byte-identical to the per-frame
+// reference aggregate's, at 1, 2 and NumCPU shards.
 func TestEndToEndIdentity(t *testing.T) {
 	fx := newFixture(t, 600)
 
-	// Legacy path: probe report materialized directly (shard count is
-	// already proven irrelevant for the report by the probe tests).
-	rep, _ := fx.run(t, 1, false)
-	legacy, err := measured.FromProbe(rep, fx.country, fx.catalog, timeseries.DefaultStep)
+	// Reference path: the observations folded frame by frame, then
+	// materialized directly (shard count is already proven irrelevant
+	// for the observation stream by the probe tests).
+	_, ref := fx.run(t, 1)
+	legacy, err := measured.FromAggregate(ref, fx.catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +142,7 @@ func TestEndToEndIdentity(t *testing.T) {
 
 	var prevSnap []byte
 	for _, shards := range []int{1, 2, runtime.NumCPU()} {
-		_, part := fx.run(t, shards, true)
+		part, _ := fx.run(t, shards)
 
 		// Snapshot round trip: what the engine sees must have been
 		// through the persistent format.
@@ -134,10 +167,10 @@ func TestEndToEndIdentity(t *testing.T) {
 		// Structural identity first: the materialized aggregates must
 		// be deep-equal to the legacy backend's.
 		if !reflect.DeepEqual(measured.Materialize(ds), measured.Materialize(legacy)) {
-			t.Fatalf("shards=%d: rollup dataset diverges from measured.FromProbe", shards)
+			t.Fatalf("shards=%d: rollup dataset diverges from the reference aggregate's", shards)
 		}
 		if got := engineJSON(t, ds); !bytes.Equal(got, legacyJSON) {
-			t.Fatalf("shards=%d: engine JSON diverges between rollup.Open and measured.FromProbe", shards)
+			t.Fatalf("shards=%d: engine JSON diverges between rollup.Open and the reference aggregate", shards)
 		}
 	}
 
@@ -152,16 +185,7 @@ func TestEndToEndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := probe.NewPipeline(probe.ConfigFor(fx.country), sim.Cells, dpi.NewClassifier(fx.catalog), 5)
-	col := rollup.NewCollector(rollup.ConfigFrom(probe.ConfigFor(fx.country), geo.SmallConfig()), pl.Shards())
-	rep2, err := pl.WithSinks(col.Sink).Run(sim.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := col.Finish(rep2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part, _ := collect(t, fx.country, sim.Cells, probe.DefaultConfig(), 5, sim.Stream())
 	var streamBuf bytes.Buffer
 	if err := rollup.Write(&streamBuf, part); err != nil {
 		t.Fatal(err)
@@ -177,8 +201,8 @@ func TestEndToEndIdentity(t *testing.T) {
 // own probe pipeline on its own sub-grid, sealed into its own snapshot
 // — streams through rollup.MergeFiles into a snapshot byte-identical
 // to the one full-period run over the concatenated frames, and the
-// engine JSON of the merged snapshot matches the legacy
-// measured.FromProbe path of that full run.
+// engine JSON of the merged snapshot matches the per-frame reference
+// aggregate of that full run.
 func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
@@ -208,26 +232,16 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	frames2 := halfSim(half, weekBins)
 	cells := gtpsim.BuildCells(country, 11)
 
-	runOn := func(frames []capture.Frame, startBin, bins int) (*probe.Report, *rollup.Partial) {
-		pcfg := probe.ConfigFor(country)
+	runOn := func(frames []capture.Frame, startBin, bins int) (*rollup.Partial, *measured.Aggregate) {
+		pcfg := probe.DefaultConfig()
 		pcfg.Start = timeseries.StudyStart.Add(time.Duration(startBin) * timeseries.DefaultStep)
 		pcfg.Bins = bins
-		pl := probe.NewPipeline(pcfg, cells, dpi.NewClassifier(catalog), 2)
-		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
-		rep, err := pl.WithSinks(col.Sink).Run(capture.NewSliceSource(frames))
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := col.Finish(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, part
+		return collect(t, country, cells, pcfg, 2, capture.NewSliceSource(frames))
 	}
 
 	// The full-period reference: one pipeline, one week grid, the
 	// concatenated capture.
-	fullRep, fullPart := runOn(append(append([]capture.Frame(nil), frames1...), frames2...), 0, weekBins)
+	fullPart, fullRef := runOn(append(append([]capture.Frame(nil), frames1...), frames2...), 0, weekBins)
 	var fullSnap bytes.Buffer
 	if err := rollup.WriteV2(&fullSnap, fullPart); err != nil {
 		t.Fatal(err)
@@ -235,8 +249,8 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 
 	// The split collection: each half measured independently on its
 	// windowed grid (plus spill slack, clamped to the week).
-	_, part1 := runOn(frames1, 0, min(half+slack, weekBins))
-	_, part2 := runOn(frames2, half, weekBins-half)
+	part1, _ := runOn(frames1, 0, min(half+slack, weekBins))
+	part2, _ := runOn(frames2, half, weekBins-half)
 	dir := t.TempDir()
 	day1, day2, merged := dir+"/h1.roll", dir+"/h2.roll", dir+"/merged.roll"
 	if err := rollup.WriteFile(day1, part1); err != nil {
@@ -257,8 +271,8 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	}
 
 	// And the analysis cannot tell the difference: engine JSON off the
-	// merged snapshot equals the legacy measured path of the full run.
-	legacy, err := measured.FromProbe(fullRep, country, catalog, timeseries.DefaultStep)
+	// merged snapshot equals the reference aggregate of the full run.
+	legacy, err := measured.FromAggregate(fullRef, catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +286,100 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 }
 
 // TestReportReconstruction pins the stronger claim behind the identity
-// test: the report rebuilt from a sealed partial deep-equals the live
-// probe's, field for field.
+// test: the aggregate rebuilt from a sealed partial deep-equals the
+// per-frame reference aggregate of the live observations, field for
+// field.
 func TestReportReconstruction(t *testing.T) {
 	fx := newFixture(t, 400)
-	rep, part := fx.run(t, 2, true)
-	rebuilt, err := part.Report(fx.country)
+	part, ref := fx.run(t, 2)
+	rebuilt, err := part.Aggregate(fx.country)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rebuilt, rep) {
-		t.Fatal("reconstructed report differs from the live probe report")
+	if !reflect.DeepEqual(rebuilt, ref) {
+		t.Fatal("reconstructed aggregate differs from the live reference aggregate")
+	}
+}
+
+// lossySink forwards observations to a shard's builder after losing
+// the first drop of them, counting the bytes it delivered.
+type lossySink struct {
+	next      probe.Sink
+	drop      int
+	delivered [services.NumDirections]float64
+}
+
+func (s *lossySink) Observe(o probe.Observation) {
+	if s.drop > 0 {
+		s.drop--
+		return
+	}
+	s.delivered[o.Dir] += o.Bytes
+	s.next.Observe(o)
+}
+
+// TestCollectorConservation: Finish compares what the sinks observed
+// with what the probes classified, per direction. A shard left without
+// a builder, or a single lost observation, fails it with an error that
+// names the out-of-balance direction and both totals; the same run with
+// every observation delivered passes.
+func TestCollectorConservation(t *testing.T) {
+	fx := newFixture(t, 200)
+	pcfg := probe.DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		detach bool   // shard 1 gets no sink at all
+		drop   [2]int // observations each shard loses
+		ok     bool
+	}{
+		{name: "clean", ok: true},
+		{name: "shard-1-detached", detach: true},
+		{name: "one-observation-dropped", drop: [2]int{1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := probe.NewPipeline(pcfg, fx.cells, dpi.NewClassifier(fx.catalog), 2)
+			col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+			var sinks [2]*lossySink
+			rep, err := pl.WithSinks(func(i int) probe.Sink {
+				if tc.detach && i == 1 {
+					return nil
+				}
+				sinks[i] = &lossySink{next: col.Sink(i), drop: tc.drop[i]}
+				return sinks[i]
+			}).Run(capture.NewSliceSource(fx.frames))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = col.Finish(rep)
+			var delivered [services.NumDirections]float64
+			for _, s := range sinks {
+				for d := range delivered {
+					if s != nil {
+						delivered[d] += s.delivered[d]
+					}
+				}
+			}
+			if tc.ok {
+				if err != nil || delivered != rep.ClassifiedBytes {
+					t.Fatalf("sinks saw %v classified bytes, probes counted %v: %v", delivered, rep.ClassifiedBytes, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("sinks saw %v classified bytes, probes counted %v, yet Finish passed", delivered, rep.ClassifiedBytes)
+			}
+			for d := range delivered {
+				if delivered[d] == rep.ClassifiedBytes[d] {
+					continue
+				}
+				for _, want := range []string{fmt.Sprint(services.Direction(d)), fmt.Sprintf("%.0f", delivered[d]), fmt.Sprintf("%.0f", rep.ClassifiedBytes[d])} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q lacks %q", err, want)
+					}
+				}
+				return // Finish reports the first direction out of balance
+			}
+		})
 	}
 }
 
@@ -290,7 +387,7 @@ func TestReportReconstruction(t *testing.T) {
 // through the filesystem.
 func TestOpenFromFile(t *testing.T) {
 	fx := newFixture(t, 300)
-	_, part := fx.run(t, 2, true)
+	part, _ := fx.run(t, 2)
 	path := t.TempDir() + "/run.roll"
 	if err := rollup.WriteFile(path, part); err != nil {
 		t.Fatal(err)
@@ -319,7 +416,7 @@ func TestOpenFromFile(t *testing.T) {
 // window of three days or more still shows Monday.
 func TestFig4ShortWindows(t *testing.T) {
 	fx := newFixture(t, 3000)
-	_, part := fx.run(t, 2, true)
+	part, _ := fx.run(t, 2)
 	path := t.TempDir() + "/week.roll"
 	if err := rollup.WriteFile(path, part); err != nil {
 		t.Fatal(err)

@@ -6,29 +6,25 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/measured"
-	"repro/internal/probe"
 	"repro/internal/services"
-	"repro/internal/timeseries"
 )
 
-// Report reconstructs the probe.Report the partial's cells distill:
+// Aggregate rebuilds the per-service aggregate the partial's cells
+// distill, over the given geography and on the partial's grid:
 // per-service volumes, per-commune accounting, national and
-// per-urbanization-class series, totals and counters. The
-// reconstruction is exact — every aggregate is a sum of integer-valued
-// per-frame contributions, so regrouping them per cell instead of per
-// frame produces bit-identical floats — which is what lets a snapshot
-// replace the live probe path without the analysis noticing.
-func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
+// per-urbanization-class series. The rebuild is exact — every aggregate
+// is a sum of integer-valued per-frame contributions, so regrouping them
+// per cell instead of per frame produces bit-identical floats — which is
+// what lets a snapshot stand in for the live capture without the
+// analysis noticing.
+func (p *Partial) Aggregate(country *geo.Country) (*measured.Aggregate, error) {
 	if p.Cfg.Geo.NumCommunes != 0 && len(country.Communes) != p.Cfg.Geo.NumCommunes {
 		return nil, fmt.Errorf("rollup: geography has %d communes, snapshot was built over %d",
 			len(country.Communes), p.Cfg.Geo.NumCommunes)
 	}
-	// The ID namespace of the reconstructed report is the default DPI
-	// catalogue — exactly the classifier namespace the live path ran
-	// under — extended with any snapshot-only names so no cell is
-	// dropped. For snapshots of catalogue traffic (every live run) the
-	// table is identical to the live classifier's, which is what makes
-	// the reconstruction DeepEqual the live report.
+	// The ID namespace of the aggregate is the default DPI catalogue —
+	// exactly the classifier namespace the live path runs under —
+	// extended with any snapshot-only names so no cell is dropped.
 	names := services.DefaultNames()
 	var extra []string
 	for _, name := range p.Services {
@@ -46,77 +42,36 @@ func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
 		}
 		names = services.NewNames(append(append([]string(nil), names.All()...), extra...))
 	}
-	// Map each snapshot service index straight to its report ID.
+	// Map each snapshot service index straight to its aggregate ID.
 	toID := make([]services.ID, len(p.Services))
 	for i, name := range p.Services {
 		id, _ := names.Lookup(name)
 		toID[i] = id
 	}
 
-	rep := probe.NewReport(names, len(country.Communes))
-	for d := 0; d < services.NumDirections; d++ {
-		rep.TotalBytes[d] = p.TotalBytes[d]
-		rep.ClassifiedBytes[d] = p.ClassifiedBytes[d]
-	}
-	rep.DecodeErrors = p.Counters.DecodeErrors
-	rep.UnknownTEID = p.Counters.UnknownTEID
-	rep.UnknownCell = p.Counters.UnknownCell
-	rep.ControlMessages = p.Counters.ControlMessages
-	rep.UserPlanePackets = p.Counters.UserPlanePackets
-
+	agg := measured.NewAggregate(names, country, p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
 	for _, ep := range p.Epochs {
 		for _, c := range ep.Cells {
-			dir := services.Direction(c.Dir)
-			svc := toID[c.Svc]
-			commune := int(c.Commune)
-			if commune >= len(country.Communes) {
-				return nil, fmt.Errorf("rollup: cell commune %d outside the %d-commune geography", commune, len(country.Communes))
+			if int(c.Commune) >= len(country.Communes) {
+				return nil, fmt.Errorf("rollup: cell commune %d outside the %d-commune geography", c.Commune, len(country.Communes))
 			}
-			rep.SvcBytes[dir][svc] += c.Bytes
-			perCommune := rep.SvcCommuneBytes[dir][svc]
-			if perCommune == nil {
-				perCommune = make([]float64, len(country.Communes))
-				rep.SvcCommuneBytes[dir][svc] = perCommune
-			}
-			perCommune[commune] += c.Bytes
-
-			// The probe creates a service's series on first classified
-			// packet even when the packet falls outside the binning, so
-			// mirror that here before the overflow check.
-			series := rep.SvcSeries[dir][svc]
-			if series == nil {
-				series = timeseries.New(p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
-				rep.SvcSeries[dir][svc] = series
-			}
-			cls := rep.SvcClassSeries[dir][svc]
-			if cls == nil {
-				cls = probe.NewClassSeries(p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
-				rep.SvcClassSeries[dir][svc] = cls
-			}
-			if ep.Bin == OverflowBin {
-				continue
-			}
-			series.Values[ep.Bin] += c.Bytes
-			cls[country.Communes[commune].Urbanization].Values[ep.Bin] += c.Bytes
+			agg.Add(services.Direction(c.Dir), toID[c.Svc], int(c.Commune), ep.Bin, c.Bytes)
 		}
 	}
-	return rep, nil
+	return agg, nil
 }
 
 // Dataset materializes the partial into the analysis API: the
 // geography is regenerated deterministically from the snapshot's geo
-// config, the report is reconstructed from the cells, and
-// measured.FromProbe — the exact code path the live pipeline uses —
-// maps it onto core.Dataset. The catalogue is the DPI catalogue, as in
-// the live path; services the snapshot never saw are dropped the same
-// way.
+// config, the aggregate is rebuilt from the cells, and
+// measured.FromAggregate maps it onto core.Dataset. The catalogue is the
+// DPI catalogue; services the snapshot never saw are dropped.
 func (p *Partial) Dataset() (core.Dataset, error) {
-	country := geo.Generate(p.Cfg.Geo)
-	rep, err := p.Report(country)
+	agg, err := p.Aggregate(geo.Generate(p.Cfg.Geo))
 	if err != nil {
 		return nil, err
 	}
-	return measured.FromProbeGrid(rep, country, services.Catalog(), p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
+	return measured.FromAggregate(agg, services.Catalog())
 }
 
 // Open loads a snapshot file and returns it as a core.Dataset, ready

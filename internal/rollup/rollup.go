@@ -539,7 +539,7 @@ func SingleEpochPartial(cfg Config, ep Epoch, nameOf func(svc uint32) string) *P
 // Merge folds o into p, mutating p; o is left untouched. Partials
 // merge exactly and commutatively — cell sums are sums of
 // integer-valued packet lengths, so accumulation order cannot change a
-// bit — mirroring probe.Report.Merge across shards.
+// bit — which is what makes a sharded run's partial shard-invariant.
 //
 // Identical grids merge cell-wise, the shard-merge fast path. Grids
 // that are merely aligned — same step and geography, starts a whole
@@ -670,12 +670,13 @@ func (p *Partial) CellTotals() [services.NumDirections]float64 {
 }
 
 // Collector wires a rollup into a probe pipeline run: it owns one
-// Builder per shard and hands them out as sinks.
+// Builder per shard and hands them out as sinks. The builders are the
+// run's only per-service accounting; the pipeline returns counters.
 //
 //	pl := probe.NewPipeline(cfg, cells, classifier, shards)
-//	col := rollup.NewCollector(rcfg, pl.Shards())
-//	rep, err := pl.WithSinks(col.Sink).Run(src)
-//	part, err := col.Finish(rep)
+//	col := rollup.NewCollector(rollup.ConfigFrom(cfg, geoCfg), pl.Shards())
+//	rep, err := pl.WithSinks(col.Sink).Run(src) // rep: counters only
+//	part, err := col.Finish(rep)                // cells + rep's counters
 type Collector struct {
 	builders []*Builder
 }
@@ -729,10 +730,11 @@ func (p *Partial) CheckTotals() error {
 
 // Finish seals every shard builder, merges the shard partials exactly,
 // and absorbs the pipeline's merged report: the per-direction totals
-// and counters the sinks cannot see. It cross-checks the cell sums
-// against the report's classified bytes — the two paths account the
-// same integer-valued frame contributions, so any difference means an
-// accounting bug, not rounding.
+// and counters the sinks cannot see. It then checks conservation: the
+// bytes the sinks observed (the cell sums) must equal the probes'
+// classified-bytes counter per direction — both count the same
+// integer-valued frame contributions, so any difference means a shard
+// without a sink or a lost observation, not rounding.
 func (c *Collector) Finish(rep *probe.Report) (*Partial, error) {
 	part := c.builders[0].Seal()
 	for _, b := range c.builders[1:] {

@@ -202,14 +202,14 @@ func TestMergeRejectsMismatchedGrids(t *testing.T) {
 func TestCollectorInvariant(t *testing.T) {
 	col := NewCollector(tinyConfig(), 2)
 	col.Sink(0).Observe(obs(timeseries.StudyStart, services.DL, "Facebook", 0, 42))
-	rep := probe.NewReport(testNames, 0)
+	rep := &probe.Report{}
 	rep.ClassifiedBytes[services.DL] = 42
 	if _, err := col.Finish(rep); err != nil {
 		t.Fatalf("matching totals rejected: %v", err)
 	}
 
 	col2 := NewCollector(tinyConfig(), 1)
-	rep2 := probe.NewReport(testNames, 0)
+	rep2 := &probe.Report{}
 	rep2.ClassifiedBytes[services.DL] = 42 // report saw traffic the sink never did
 	if _, err := col2.Finish(rep2); err == nil {
 		t.Fatal("mismatched totals not rejected")
