@@ -29,9 +29,15 @@ import (
 // arenas — the one copy the Source ownership contract requires — and
 // broadcasts each sealed batch to every shard. Shard keying runs on
 // the workers themselves: each worker keys every frame of a batch with
-// a cheap fixed-offset peek and handles only its own, so the serial
-// stage no longer bounds multi-core scaling. Batches and arenas
-// recycle through a sync.Pool; steady-state routing allocates nothing.
+// a cheap fixed-offset peek and handles only its own. That keeps the
+// serial stage to a pull and a copy, but it still bounds scaling on a
+// trace replay: on a 2-core box, `probesim -trace -shards 2` spends
+// about as much CPU on the router goroutine (the trace read and the
+// arena copy in roughly equal parts) as on both workers together, and
+// two shards replay no faster than one (bench local-replay,
+// probe.capture_MBps: 1 974 MB/s at two shards, 2 060 at one).
+// Batches and arenas recycle through a sync.Pool; steady-state routing
+// allocates nothing.
 //
 // Each frame's contribution — to its shard's counters and to the
 // observations its shard's sink receives — depends only on the state of

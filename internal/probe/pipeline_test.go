@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/capture"
@@ -168,6 +169,110 @@ func TestPipelineTraceReplayMatchesLive(t *testing.T) {
 	if !reflect.DeepEqual(live, replayed) || !reflect.DeepEqual(liveAgg, replayedAgg) {
 		diffReports(t, live, replayed, liveAgg, replayedAgg)
 		t.Fatal("trace replay report differs from the live stream report")
+	}
+}
+
+// scribbleSource enforces the Source ownership contract on its
+// consumer: before each inner Next it overwrites the Data it returned
+// last with 0xAA, so a consumer that retains Data without copying sees
+// garbage however rarely the inner source recycles its memory.
+type scribbleSource struct {
+	src  capture.Source
+	last []byte
+}
+
+func (s *scribbleSource) Next() (capture.Frame, error) {
+	for i := range s.last {
+		s.last[i] = 0xAA
+	}
+	f, err := s.src.Next()
+	s.last = f.Data
+	return f, err
+}
+
+// multisetSink records every observation of every shard with its
+// multiplicity.
+type multisetSink struct {
+	mu   sync.Mutex
+	seen map[obsKey]int
+}
+
+type obsKey struct {
+	at      int64
+	dir     services.Direction
+	svc     services.ID
+	commune int
+	bytes   float64
+}
+
+func (s *multisetSink) Observe(o Observation) {
+	s.mu.Lock()
+	s.seen[obsKey{o.At.UnixNano(), o.Dir, o.Svc, o.Commune, o.Bytes}]++
+	s.mu.Unlock()
+}
+
+// TestConsumersCopyBeforeNext replays one trace plainly and through
+// scribbleSource: the pipeline at every shard count, and
+// capture.Collect, must give identical results, which they can only if
+// they copy each frame before asking for the next.
+func TestConsumersCopyBeforeNext(t *testing.T) {
+	country := geo.Generate(geo.SmallConfig())
+	cfg := gtpsim.DefaultConfig()
+	cfg.Sessions = 150
+	sim, err := gtpsim.New(country, services.Catalog(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := capture.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := capture.Copy(w, sim.Stream()); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(scribble bool) capture.Source {
+		rd, err := capture.NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scribble {
+			return &scribbleSource{src: rd}
+		}
+		return rd
+	}
+	cls := dpi.NewClassifier(services.Catalog())
+	run := func(shards int, scribble bool) (*Report, map[obsKey]int) {
+		sink := &multisetSink{seen: map[obsKey]int{}}
+		rep, err := NewPipeline(DefaultConfig(), sim.Cells, cls, shards).
+			WithSinks(func(int) Sink { return sink }).Run(replay(scribble))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, sink.seen
+	}
+	for _, shards := range shardSweep() {
+		want, wantSeen := run(shards, false)
+		got, gotSeen := run(shards, true)
+		if len(wantSeen) == 0 {
+			t.Fatal("the replay produced no observations")
+		}
+		if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(wantSeen, gotSeen) {
+			t.Errorf("shards=%d: a scribbled replay measures differently (%d vs %d distinct observations)",
+				shards, len(gotSeen), len(wantSeen))
+		}
+	}
+
+	want, err := capture.Collect(replay(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := capture.Collect(replay(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("Collect of a scribbled replay differs from Collect of the plain replay")
 	}
 }
 
