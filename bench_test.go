@@ -2,7 +2,7 @@ package repro
 
 // One benchmark per table/figure of the paper's evaluation (see
 // DESIGN.md §4): each bench regenerates the figure's data through the
-// same experiment runner the figures command uses, so `go test
+// same experiment runner `analyze -ids` uses, so `go test
 // -bench=.` doubles as the full reproduction harness at laptop scale.
 
 import (

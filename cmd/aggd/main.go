@@ -1,5 +1,5 @@
 // Command aggd is the merging aggregator of the distributed-collection
-// plane: it accepts epoch streams from N probed instances, folds them
+// plane: it accepts epoch streams from N probes (probesim -aggr), folds them
 // with the exact Partial.Merge/grid-union algebra into per-probe
 // partials, and writes the national-view snapshot when the run drains
 // (every expected probe sent FIN) or on SIGINT/SIGTERM.
@@ -36,7 +36,7 @@ func main() {
 	os.Exit(run(daemon.SignalContext("aggd"), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const usage = `aggd: fold epoch streams from probed instances into one snapshot
+const usage = `aggd: fold epoch streams from probes (probesim -aggr) into one snapshot
 
 Listens on -listen for probe connections; with -probes N it exits 0
 on its own once N distinct probes complete their runs, writing the

@@ -10,7 +10,8 @@
 //     ratios vs temporal correlations; TGV the exception).
 //
 // With --json the full machine-readable results of every registered
-// experiment are written to stdout instead of the human summary.
+// experiment are written to stdout instead of the human summary; with
+// -ids, the selected experiments' figures. -list names them all.
 //
 // With -snapshot the dataset comes from a rollup snapshot produced by
 // cmd/probesim -snapshot instead of the synthetic generator: the
@@ -46,19 +47,21 @@ import (
 )
 
 // snapshotEnv builds the engine environment from recorded rollups.
-// A plain whole file opens directly (counters and the overflow epoch
-// intact, which the probe experiment reads). A view — -window,
-// -services, or a directory store — goes through the catalog planner
+// A plain whole file opens directly, counters and the overflow epoch
+// intact, and its header's DPI classification rate comes back too (NaN
+// for a view: its totals are cell sums). A view — -window, -services,
+// or a directory store — goes through the catalog planner
 // unless -full-scan asks for the sequential reference: read everything,
 // ViewSpec.Apply. The two paths are defined (and tested in
 // internal/catalog) to produce identical partials.
-func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool, seed uint64) (*experiments.Env, error) {
+func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool, seed uint64) (*experiments.Env, float64, error) {
+	nan := math.NaN()
 	var spec rollup.ViewSpec
 	hasView := false
 	if window != "" {
 		var err error
 		if spec.From, spec.To, err = rollup.ParseBinRange(window); err != nil {
-			return nil, fmt.Errorf("analyze: -window wants A:B bin indices, got %q", window)
+			return nil, nan, fmt.Errorf("analyze: -window wants A:B bin indices, got %q", window)
 		}
 		hasView = true
 	}
@@ -72,45 +75,54 @@ func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool,
 	}
 	fi, err := os.Stat(path)
 	if err != nil {
-		return nil, err
+		return nil, nan, err
 	}
 	if fi.IsDir() && fullScan {
-		return nil, fmt.Errorf("analyze: -full-scan reads one snapshot file, not a directory (merge it first: rollupctl merge)")
+		return nil, nan, fmt.Errorf("analyze: -full-scan reads one snapshot file, not a directory (merge it first: rollupctl merge)")
 	}
 	switch {
 	case !hasView && !fi.IsDir():
-		return experiments.NewEnvFromSnapshot(path, seed)
+		env, err := experiments.NewEnvFromSnapshot(path, seed)
+		if err != nil {
+			return nil, nan, err
+		}
+		x, err := rollup.OpenIndexed(path)
+		if err != nil {
+			return nil, nan, err
+		}
+		h := x.Header()
+		return env, (h.ClassifiedBytes[0] + h.ClassifiedBytes[1]) / (h.TotalBytes[0] + h.TotalBytes[1]), x.Close()
 	case fullScan:
 		p, err := rollup.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, nan, err
 		}
 		view, err := spec.Apply(p)
 		if err != nil {
-			return nil, err
+			return nil, nan, err
 		}
 		ds, err := view.Dataset()
 		if err != nil {
-			return nil, err
+			return nil, nan, err
 		}
-		return experiments.NewEnvFrom(ds, seed), nil
+		return experiments.NewEnvFrom(ds, seed), nan, nil
 	default:
 		c, err := catalog.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, nan, err
 		}
 		defer c.Close()
 		ds, st, err := c.Dataset(spec)
 		if err != nil {
-			return nil, err
+			return nil, nan, err
 		}
 		fmt.Fprintf(stderr, "analyze: planner decoded %d/%d epochs across %d files (%d pruned, %d v1 fallbacks)\n",
 			st.EpochsDecoded, st.EpochsTotal, st.Files, st.FilesPruned, st.Fallbacks)
-		return experiments.NewEnvFrom(ds, seed), nil
+		return experiments.NewEnvFrom(ds, seed), nan, nil
 	}
 }
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(run(daemon.SignalContext("analyze"), os.Args[1:], os.Stdout, os.Stderr)) }
 
 const usage = `analyze: run the paper's full study through the experiment engine
 
@@ -121,9 +133,10 @@ Dataset sources (flag defaults below):
 `
 
 // run is the whole command, returning its exit code: 0 for a completed
-// study (and -h), 2 for a usage error, 1 for a dataset that would not
-// load or an experiment that failed.
-func run(args []string, stdout, stderr io.Writer) int {
+// study (and -h, -list), 2 for a usage error, 1 for a dataset that
+// would not load or an experiment that failed (an unknown -ids id
+// included). Cancelling ctx stops the engine.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := daemon.NewFlagSet("analyze", usage, stderr)
 	scale := fs.String("scale", "small", "dataset scale: small | full (ignored with -snapshot)")
 	seed := fs.Uint64("seed", 1, "generator seed; with -snapshot it drives only the stochastic analysis steps")
@@ -131,15 +144,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	window := fs.String("window", "", "with -snapshot: analyze only bins A:B of the grid (e.g. 0:192 for the weekend at the 15-minute step)")
 	svcNames := fs.String("services", "", "with -snapshot: keep only these comma-separated service names (a view, like -window)")
 	fullScan := fs.Bool("full-scan", false, "with -snapshot views: bypass the footer-index planner and apply the view by a full sequential decode (single file only)")
-	ids := fs.String("ids", "", "comma-separated experiment ids to run (default: every registered experiment)")
+	ids := fs.String("ids", "", "comma-separated experiment ids to run and print as figures (default: every registered experiment, printed as the headline summary)")
+	list := fs.Bool("list", false, "list experiment ids and exit")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON results for every registered experiment")
 	concurrency := fs.Int("concurrency", 0, "parallel experiment workers (0 = NumCPU)")
 	if err := daemon.Parse(fs, args); err != nil {
 		return daemon.Exit(stderr, err)
 	}
+	if *list {
+		for _, r := range experiments.All() {
+			fmt.Fprintf(stdout, "%-22s %s\n", r.ID, r.Title)
+		}
+		return 0
+	}
 
 	var env *experiments.Env
 	var err error
+	snapRate := math.NaN()
 	for _, view := range []struct {
 		flag string
 		set  bool
@@ -153,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if !*jsonOut {
 			fmt.Fprintf(stdout, "Loading rollup snapshot %s (seed %d)...\n", *snapshot, *seed)
 		}
-		env, err = snapshotEnv(stderr, *snapshot, *window, *svcNames, *fullScan, *seed)
+		env, snapRate, err = snapshotEnv(stderr, *snapshot, *window, *svcNames, *fullScan, *seed)
 	} else {
 		cfg := synth.SmallConfig()
 		if *scale == "full" {
@@ -179,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	eng := experiments.NewEngine(env)
-	results, err := eng.Run(context.Background(), experiments.Options{Concurrency: *concurrency, IDs: runIDs})
+	results, err := eng.Run(ctx, experiments.Options{Concurrency: *concurrency, IDs: runIDs})
 	if err != nil {
 		return daemon.Exit(stderr, err)
 	}
@@ -192,6 +213,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout.Write(buf)
 		return 0
 	}
+	if runIDs != nil {
+		for _, r := range results {
+			fmt.Fprintln(stdout, r.String())
+		}
+		return 0
+	}
 
 	country := env.DS.Geography()
 	fmt.Fprintf(stdout, "Country: %d communes, %d subscribers, %d cities\n\n",
@@ -201,59 +228,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, r := range results {
 		byID[r.ID] = r
 	}
-	// A metric an experiment could not compute prints as NaN rather
-	// than masquerading as a measured zero.
-	metric := func(id, key string) float64 {
-		if v, ok := byID[id].Metrics[key]; ok {
-			return v
+	// Each line prints one experiment's headline metric, times mul; a
+	// line without an id is a heading.
+	for _, l := range []struct {
+		format, id, key string
+		mul             float64
+	}{
+		{"== Overview (Sec. 3) ==\n", "", "", 0},
+		{"  Zipf exponent, top half, downlink: %.2f  (paper: -1.69)\n", "fig2", "zipf_exponent_downlink", 1},
+		{"  Zipf exponent, top half, uplink:   %.2f  (paper: -1.55)\n", "fig2", "zipf_exponent_uplink", 1},
+		{"  Video share of downlink:           %.1f%% (paper: 46%%)\n", "fig3", "video_share_downlink", 100},
+		{"\n== Insight 1: heterogeneous temporal dynamics (Sec. 4) ==\n", "", "", 0},
+		{"  Distinct peak calendars:           %.0f/20 (paper: all distinct)\n", "fig6", "distinct_patterns", 1},
+		{"  Peaks outside 7 topical times:     %.0f    (paper: 0)\n", "fig6", "outside_peaks", 1},
+		{"  Silhouette trend vs k (downlink):  %+.4f (paper: degrading, no winner)\n", "fig5", "silhouette_slope_downlink", 1},
+		{"\n== Insight 2: homogeneous spatial distributions (Sec. 5) ==\n", "", "", 0},
+		{"  Mean pairwise r², downlink:        %.2f  (paper: 0.60)\n", "fig10", "mean_r2_downlink", 1},
+		{"  Mean pairwise r², uplink:          %.2f  (paper: 0.53)\n", "fig10", "mean_r2_uplink", 1},
+		{"  Twitter top-1%% commune share:      %.1f%% (paper: >50%%)\n", "fig8", "top1pct_share", 100},
+		{"  Twitter top-10%% commune share:     %.1f%% (paper: >90%%)\n", "fig8", "top10pct_share", 100},
+		{"\n== Insight 3: urbanization drives how much, not when (Sec. 5) ==\n", "", "", 0},
+		{"  Mean semi-urban/urban slope:       %.2f  (paper: ≈1)\n", "fig11", "mean_slope_semiurban", 1},
+		{"  Mean rural/urban slope:            %.2f  (paper: ≈0.5)\n", "fig11", "mean_slope_rural", 1},
+		{"  Mean TGV/urban slope:              %.2f  (paper: ≥2)\n", "fig11", "mean_slope_tgv", 1},
+		{"  Mean temporal r², urban row:       %.2f  (paper: high)\n", "fig11", "mean_time_r2_urban", 1},
+		{"  Mean temporal r², TGV row:         %.2f  (paper: low outlier)\n", "fig11", "mean_time_r2_tgv", 1},
+		// The probe runner simulates and measures a small capture of its
+		// own, whatever the dataset above is.
+		{"\n== Measurement pipeline (Sec. 2) ==\n", "", "", 0},
+		{"  Demo capture DPI classification:   %.1f%% (paper: 88%%)\n", "probe", "classification_rate", 100},
+		{"  Demo capture median ULI error:     %.1f km (paper: ≈3 km)\n", "probe", "median_uli_error_km", 1},
+		{"  Demo capture rank corr. vs truth:  %.2f  (probe data through the analysis API)\n", "probe", "measured_rank_correlation", 1},
+	} {
+		if l.id == "" {
+			fmt.Fprint(stdout, l.format)
+			continue
 		}
-		return math.NaN()
+		// A metric an experiment could not compute prints as NaN rather
+		// than masquerading as a measured zero.
+		v, ok := byID[l.id].Metrics[l.key]
+		if !ok {
+			v = math.NaN()
+		}
+		fmt.Fprintf(stdout, l.format, l.mul*v)
 	}
-
-	fmt.Fprintln(stdout, "== Overview (Sec. 3) ==")
-	fmt.Fprintf(stdout, "  Zipf exponent, top half, downlink: %.2f  (paper: -1.69)\n",
-		metric("fig2", "zipf_exponent_downlink"))
-	fmt.Fprintf(stdout, "  Zipf exponent, top half, uplink:   %.2f  (paper: -1.55)\n",
-		metric("fig2", "zipf_exponent_uplink"))
-	fmt.Fprintf(stdout, "  Video share of downlink:           %.1f%% (paper: 46%%)\n",
-		100*metric("fig3", "video_share_downlink"))
-
-	fmt.Fprintln(stdout, "\n== Insight 1: heterogeneous temporal dynamics (Sec. 4) ==")
-	fmt.Fprintf(stdout, "  Distinct peak calendars:           %.0f/20 (paper: all distinct)\n",
-		metric("fig6", "distinct_patterns"))
-	fmt.Fprintf(stdout, "  Peaks outside 7 topical times:     %.0f    (paper: 0)\n",
-		metric("fig6", "outside_peaks"))
-	fmt.Fprintf(stdout, "  Silhouette trend vs k (downlink):  %+.4f (paper: degrading, no winner)\n",
-		metric("fig5", "silhouette_slope_downlink"))
-
-	fmt.Fprintln(stdout, "\n== Insight 2: homogeneous spatial distributions (Sec. 5) ==")
-	fmt.Fprintf(stdout, "  Mean pairwise r², downlink:        %.2f  (paper: 0.60)\n",
-		metric("fig10", "mean_r2_downlink"))
-	fmt.Fprintf(stdout, "  Mean pairwise r², uplink:          %.2f  (paper: 0.53)\n",
-		metric("fig10", "mean_r2_uplink"))
-	fmt.Fprintf(stdout, "  Twitter top-1%% commune share:      %.1f%% (paper: >50%%)\n",
-		100*metric("fig8", "top1pct_share"))
-	fmt.Fprintf(stdout, "  Twitter top-10%% commune share:     %.1f%% (paper: >90%%)\n",
-		100*metric("fig8", "top10pct_share"))
-
-	fmt.Fprintln(stdout, "\n== Insight 3: urbanization drives how much, not when (Sec. 5) ==")
-	fmt.Fprintf(stdout, "  Mean semi-urban/urban slope:       %.2f  (paper: ≈1)\n",
-		metric("fig11", "mean_slope_semiurban"))
-	fmt.Fprintf(stdout, "  Mean rural/urban slope:            %.2f  (paper: ≈0.5)\n",
-		metric("fig11", "mean_slope_rural"))
-	fmt.Fprintf(stdout, "  Mean TGV/urban slope:              %.2f  (paper: ≥2)\n",
-		metric("fig11", "mean_slope_tgv"))
-	fmt.Fprintf(stdout, "  Mean temporal r², urban row:       %.2f  (paper: high)\n",
-		metric("fig11", "mean_time_r2_urban"))
-	fmt.Fprintf(stdout, "  Mean temporal r², TGV row:         %.2f  (paper: low outlier)\n",
-		metric("fig11", "mean_time_r2_tgv"))
-
-	fmt.Fprintln(stdout, "\n== Measurement pipeline (Sec. 2) ==")
-	fmt.Fprintf(stdout, "  DPI classification rate:           %.1f%% (paper: 88%%)\n",
-		100*metric("probe", "classification_rate"))
-	fmt.Fprintf(stdout, "  Median ULI localization error:     %.1f km (paper: ≈3 km)\n",
-		metric("probe", "median_uli_error_km"))
-	fmt.Fprintf(stdout, "  Measured-vs-generated rank corr.:  %.2f  (probe data through the analysis API)\n",
-		metric("probe", "measured_rank_correlation"))
+	if !math.IsNaN(snapRate) {
+		fmt.Fprintf(stdout, "  Snapshot DPI classification rate:  %.1f%% (file header; paper: 88%%)\n", 100*snapRate)
+	}
 	return 0
 }

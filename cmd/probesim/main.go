@@ -11,20 +11,31 @@
 //
 // With -snapshot the partial also persists to a snapshot file that
 // cmd/analyze -snapshot analyzes directly — produce once, analyze many.
+//
+// With -aggr every epoch also ships, spooled to disk first, to an
+// aggregator (cmd/aggd) as it seals. A restarted probe re-runs its
+// source under a fresh incarnation, which replaces its stream at the
+// aggregator: N networked probes stay byte-identical to one local run.
 package main
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/daemon"
+	"repro/internal/epochwire"
 	"repro/internal/measured"
 	"repro/internal/report"
+	"repro/internal/rollup"
 	"repro/internal/services"
 )
 
@@ -43,6 +54,10 @@ of the study week (15-minute bins, 672 per week) and the probe's grid
 covers that range plus spill slack: the per-day / per-slice collection
 unit whose -snapshot outputs rollupctl merges into longer rollups.
 
+With -aggr ADDR -id ID each epoch also ships to an aggregator (aggd) as
+it seals, the networked twin of the same run without -aggr; the run,
+SIGINT/SIGTERM-cut or not, exits 0 only once it is durable there.
+
 Flag defaults are shown below; -seed and -shards are shared with
 tracegen and analyze, and -quiet reduces output to the essentials for
 CI use.
@@ -51,14 +66,30 @@ CI use.
 
 // run is the whole program, returning its exit code: cancelling ctx
 // (the first SIGINT/SIGTERM) cuts the source so the run drains to a
-// snapshot of what was measured and still returns 0.
+// snapshot of what was measured and still returns 0 — with -aggr, only
+// once that is durable at the aggregator.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := daemon.NewFlagSet("probesim", usage, stderr)
 	c := daemon.NewCapture(fs)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the capture run to this file (inspect with go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the capture run) to this file")
+	var scfg epochwire.ShipperConfig
+	fs.StringVar(&scfg.Addr, "aggr", "", "ship every epoch as it seals to the aggregator at this address; exit 0 only once the run is durable there")
+	fs.StringVar(&scfg.ProbeID, "id", "", "with -aggr: probe identity announced in the handshake (required)")
+	fs.StringVar(&scfg.SpoolPath, "spool", "", "with -aggr: on-disk spool file for unacknowledged epochs (default: probesim-<id>.spool in the temp dir)")
+	fs.DurationVar(&scfg.Keepalive, "keepalive", 10*time.Second, "with -aggr: idle interval before a keepalive ping")
+	fs.DurationVar(&scfg.AckTimeout, "ack-timeout", 30*time.Second, "with -aggr: bound on waiting for an ack or pong before reconnecting")
+	fs.DurationVar(&scfg.BackoffMax, "backoff-max", 5*time.Second, "with -aggr: cap on the reconnect backoff")
+	fs.DurationVar(&scfg.RetryFor, "retry-for", 0, "with -aggr: give up if the aggregator stays unreachable this long (0 = retry forever)")
+	fs.Int64Var(&scfg.SpoolBudget, "spool-budget", 0, "with -aggr: spool disk budget in bytes; sealing blocks when the spool is full (0 = unlimited)")
+	chaosSpec := fs.String("chaos", "", "with -aggr: inject seeded faults, e.g. 1234:reset=0.05,enospc=0.02,fuel=40 (see internal/chaos)")
 	if err := daemon.Parse(fs, args); err != nil {
 		return daemon.Exit(stderr, err)
+	}
+	if (scfg.Addr == "") != (scfg.ProbeID == "") {
+		fmt.Fprintln(stderr, "probesim: -id is required with -aggr, and only applies with it")
+		fs.Usage()
+		return 2
 	}
 
 	if *cpuprofile != "" {
@@ -86,9 +117,24 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			c.Sessions, c.From, c.To, len(c.Country.Communes), len(c.Cells.Cells), c.Shards)
 	}
 
-	rep, part, err := c.Run(ctx, nil)
+	sh, sealHook, err := newShipper(scfg, *chaosSpec, c)
 	if err != nil {
 		return daemon.Exit(stderr, err)
+	}
+	rep, part, err := c.Run(ctx, sealHook)
+	if err != nil {
+		if sh != nil {
+			sh.Abort()
+		}
+		return daemon.Exit(stderr, err)
+	}
+	if sh != nil {
+		if err := sh.Finish(part); err != nil {
+			return daemon.Exit(stderr, err)
+		}
+		fmt.Fprintf(stdout, "probe %q: %d epochs + fin durable at %s; DL %s, UL %s\n",
+			scfg.ProbeID, sh.LastSeq()-1, scfg.Addr,
+			report.Bytes(rep.TotalBytes[services.DL]), report.Bytes(rep.TotalBytes[services.UL]))
 	}
 	fmt.Fprintf(stdout, "%d control messages, %d user-plane packets, %d decode errors across %d shards; classification rate %s (paper: 88%%)\n",
 		rep.ControlMessages, rep.UserPlanePackets, rep.DecodeErrors, c.Pipeline.Shards(), report.Pct(rep.ClassificationRate()))
@@ -164,4 +210,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, report.Table(headers, table))
 	return 0
+}
+
+// newShipper starts the -aggr shipper, if any, over the opened capture
+// plane (its grid, shard count and registry) with -chaos faults on the
+// wire and the spool, and returns it with its seal hook.
+func newShipper(scfg epochwire.ShipperConfig, chaosSpec string, c *daemon.Capture) (*epochwire.Shipper, func(int, rollup.Epoch, func(uint32) string), error) {
+	if scfg.Addr == "" {
+		return nil, nil, nil
+	}
+	if scfg.SpoolPath == "" {
+		scfg.SpoolPath = filepath.Join(os.TempDir(), "probesim-"+scfg.ProbeID+".spool")
+	}
+	log := c.Log.With("probe", scfg.ProbeID)
+	scfg.Cfg, scfg.Shards, scfg.Logf, scfg.Registry = c.RollupCfg, c.Pipeline.Shards(), log.Infof, c.Reg
+	if chaosSpec != "" {
+		inj, err := chaos.Parse(chaosSpec)
+		if err != nil {
+			return nil, nil, err
+		}
+		log.Infof("chaos: %s", inj)
+		d := &net.Dialer{Timeout: scfg.AckTimeout}
+		scfg.Dial = inj.Dial("probe.wire", d.Dial)
+		scfg.FS = inj.FS("probe.spool", chaos.OS)
+	}
+	sh, err := epochwire.NewShipper(scfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	c.Say("shipping sealed epochs to %s as probe %q\n", scfg.Addr, scfg.ProbeID)
+	log.With("incarnation", sh.Incarnation()).Debugf("spooling to %s", scfg.SpoolPath)
+	return sh, sh.SealHook, nil
 }

@@ -24,7 +24,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -35,42 +34,44 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/daemon"
 	"repro/internal/lint"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole tool, returning its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
 	// The go vet driver protocol probes the tool before handing it
 	// package config files: -V=full must print an identity line, and
 	// -flags must list the tool's flag schema (we add none).
-	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			fmt.Printf("repolint version 1\n")
-			return
-		case arg == "-flags" || arg == "--flags":
-			fmt.Println("[]")
-			return
+	for _, arg := range args {
+		switch arg {
+		case "-V=full", "--V=full":
+			fmt.Fprintln(stdout, "repolint version 1")
+			return 0
+		case "-flags", "--flags":
+			fmt.Fprintln(stdout, "[]")
+			return 0
 		}
 	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVetUnit(os.Args[1]))
+	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
+		return runVetUnit(args[0], stderr)
 	}
-	os.Exit(runStandalone())
+	return runStandalone(args, stdout, stderr)
 }
 
 // runStandalone type-checks packages from source (go/importer's
 // source mode) and runs the suite over every matched unit.
-func runStandalone() int {
-	fs := flag.NewFlagSet("repolint", flag.ExitOnError)
+func runStandalone(args []string, stdout, stderr io.Writer) int {
+	fs := daemon.NewFlagSet("repolint", "usage: repolint [packages]\n       go vet -vettool=$(which repolint) [packages]\n\n", stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: repolint [packages]\n       go vet -vettool=$(which repolint) [packages]\n\n")
-		fs.PrintDefaults()
+	if err := daemon.Parse(fs, args); err != nil {
+		return daemon.Exit(stderr, err)
 	}
-	fs.Parse(os.Args[1:])
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -79,31 +80,28 @@ func runStandalone() int {
 		patterns = []string{"./..."}
 	}
 	root, _, err := lint.ModuleRoot(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		return 1
-	}
 	// The source importer resolves module import paths through the go
 	// command, which needs the working directory inside the module.
-	if err := os.Chdir(root); err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
-		return 1
+	if err == nil {
+		err = os.Chdir(root)
 	}
-	loader := lint.NewLoader()
-	units, err := loader.Load(root, patterns)
+	var units []*lint.Unit
+	if err == nil {
+		units, err = lint.NewLoader().Load(root, patterns)
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
+		fmt.Fprintln(stderr, "repolint:", err)
 		return 1
 	}
 	found := 0
 	for _, u := range units {
 		for _, d := range lint.RunUnit(u, lint.Analyzers()) {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 			found++
 		}
 	}
 	if found > 0 {
-		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", found)
+		fmt.Fprintf(stderr, "repolint: %d finding(s)\n", found)
 		return 2
 	}
 	return 0
@@ -126,22 +124,22 @@ type vetCfg struct {
 }
 
 // runVetUnit analyzes one go vet package unit described by cfgPath.
-func runVetUnit(cfgPath string) int {
+func runVetUnit(cfgPath string, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
+		fmt.Fprintln(stderr, "repolint:", err)
 		return 1
 	}
 	var cfg vetCfg
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: parsing %s: %v\n", cfgPath, err)
+		fmt.Fprintf(stderr, "repolint: parsing %s: %v\n", cfgPath, err)
 		return 1
 	}
 	// The driver always expects the facts file, even though repolint
 	// carries no cross-package facts.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
+			fmt.Fprintln(stderr, "repolint:", err)
 			return 1
 		}
 	}
@@ -154,7 +152,7 @@ func runVetUnit(cfgPath string) int {
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			return typecheckFailed(cfg, err)
+			return typecheckFailed(cfg, err, stderr)
 		}
 		unit.Files = append(unit.Files, f)
 	}
@@ -181,11 +179,11 @@ func runVetUnit(cfgPath string) int {
 	tcfg := types.Config{Importer: imp}
 	unit.Pkg, err = tcfg.Check(cfg.ImportPath, fset, unit.Files, unit.Info)
 	if err != nil {
-		return typecheckFailed(cfg, err)
+		return typecheckFailed(cfg, err, stderr)
 	}
 	diags := lint.RunUnit(unit, lint.Analyzers())
 	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: [%s] %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Msg)
+		fmt.Fprintf(stderr, "%s:%d:%d: [%s] %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Msg)
 	}
 	if len(diags) > 0 {
 		return 2
@@ -202,10 +200,10 @@ func unitPath(p string) string {
 	return p
 }
 
-func typecheckFailed(cfg vetCfg, err error) int {
+func typecheckFailed(cfg vetCfg, err error, stderr io.Writer) int {
 	if cfg.SucceedOnTypecheckFailure {
 		return 0
 	}
-	fmt.Fprintf(os.Stderr, "repolint: %s: %v\n", cfg.ImportPath, err)
+	fmt.Fprintf(stderr, "repolint: %s: %v\n", cfg.ImportPath, err)
 	return 1
 }

@@ -2,8 +2,8 @@
 // headline analyses through the backend-agnostic analysis API, and
 // print the paper's three findings in under a minute.
 //
-//	go run ./examples/quickstart
-package main
+//	go test -v -run Example ./examples/quickstart
+package quickstart
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 	"repro/internal/synth"
 )
 
-func main() {
+func Example() {
 	// 1. Generate the dataset (the proprietary-trace substitute). Any
 	// core.Dataset backend — synthetic here, probe-measured via
 	// internal/measured — flows through the identical analysis below.
@@ -70,4 +70,20 @@ func main() {
 		ur.Slopes[twitter][geo.RuralTGV])
 	fmt.Printf("Twitter temporal r² across classes: urban %.2f vs TGV %.2f\n",
 		ur.TimeR2[twitter][geo.Urban], ur.TimeR2[twitter][geo.RuralTGV])
+
+	// Output:
+	// dataset: 400 communes, 4699720 subscribers, 20 named services
+	//
+	// peak calendars (X = activity peak at that topical time):
+	//   YouTube           XX..XXX
+	//   iTunes            .XX.X.X
+	//   Facebook Video    XX.XXX.
+	//   Instagram video   .X.XX.X
+	//   Netflix           .X....X
+	//   Audio             ..X.XX.
+	//   ... 20 distinct patterns across 20 services
+	//
+	// mean pairwise spatial r²: 0.67 (paper: 0.60)
+	// Twitter per-user volume vs urban users: semi-urban 1.22, rural 0.56, TGV 2.47
+	// Twitter temporal r² across classes: urban 0.81 vs TGV 0.45
 }

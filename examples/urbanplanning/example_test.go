@@ -5,12 +5,13 @@
 // its land-use class by comparing against the per-class signatures —
 // mobile demand as a land-use sensor.
 //
-//	go run ./examples/urbanplanning
-package main
+//	go test -v -run Example ./examples/urbanplanning
+package urbanplanning
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/geo"
 	"repro/internal/report"
@@ -19,7 +20,7 @@ import (
 	"repro/internal/synth"
 )
 
-func main() {
+func Example() {
 	ds, err := synth.Generate(synth.SmallConfig())
 	if err != nil {
 		log.Fatal(err)
@@ -106,10 +107,23 @@ func main() {
 		}
 		rows = append(rows, row)
 	}
-	fmt.Println(report.Table(
+	printTrimmed(report.Table(
 		[]string{"true \\ inferred", "Urban", "Semi-Urban", "Rural", "TGV"}, rows))
 	fmt.Println("Per-user volume separates urban from rural communes (Fig. 11's")
 	fmt.Println("finding); the usage mix refines the boundary cases.")
+
+	// Output:
+	// land-use inference from service usage: 274/400 communes correct (68.5%)
+	//
+	// true \ inferred  Urban  Semi-Urban  Rural  TGV
+	// ----------------------------------------------
+	// Urban            2      0           4      3
+	// Semi-Urban       9      7           18     6
+	// Rural            19     19          216    14
+	// TGV              10     5           19     49
+	//
+	// Per-user volume separates urban from rural communes (Fig. 11's
+	// finding); the usage mix refines the boundary cases.
 }
 
 func sum(x []float64) float64 {
@@ -118,4 +132,12 @@ func sum(x []float64) float64 {
 		s += v
 	}
 	return s
+}
+
+// printTrimmed prints s without trailing blanks on its lines, which an
+// Output comment cannot hold.
+func printTrimmed(s string) {
+	for _, line := range strings.Split(s, "\n") {
+		fmt.Println(strings.TrimRight(line, " "))
+	}
 }

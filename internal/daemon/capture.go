@@ -20,13 +20,13 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Capture is the capture plane probesim and probed both run: a frame
-// source (live gtpsim simulation or recorded trace) streamed through
-// the sharded probe pipeline into a rollup collector, the run's one
-// per-service aggregate. probed attaches a shipper's seal hook to the
-// plane probesim runs bare, so its run over -window A:B is the
-// networked twin of probesim's by construction. NewCapture registers
-// the flags, Open assembles, Run runs once.
+// Capture is the capture plane probesim runs: a frame source (live
+// gtpsim simulation or recorded trace) streamed through the sharded
+// probe pipeline into a rollup collector, the run's one per-service
+// aggregate. With -aggr probesim attaches a shipper's seal hook to the
+// same plane, so a shipping run over -window A:B is the networked twin
+// of the local one by construction. NewCapture registers the flags,
+// Open assembles, Run runs once.
 type Capture struct {
 	// The shared flags.
 	Sessions int

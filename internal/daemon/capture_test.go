@@ -19,8 +19,8 @@ import (
 	"repro/internal/timeseries"
 )
 
-// TestCollectionUnitGrids pins the window arithmetic probesim and
-// probed share: the generator draws sessions inside [from, to), and the
+// TestCollectionUnitGrids pins the window arithmetic of every
+// collection unit, local or shipping: the generator draws sessions inside [from, to), and the
 // probe grid covers that window plus 3 bins of spill slack, clamped to
 // the study week.
 func TestCollectionUnitGrids(t *testing.T) {

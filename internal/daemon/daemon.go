@@ -1,8 +1,9 @@
 // Package daemon holds what the repo's binaries share, each decision
-// written once: the process scaffolding of probesim, probed, aggd and
-// rollupctl (two-stage signal handling as a context, the -metrics
-// listener, the flag and exit-code contract of a main that returns) and
-// the capture plane probesim and probed both run (capture.go).
+// written once: the process scaffolding of probesim, aggd, rollupctl,
+// analyze and tracegen (two-stage signal handling as a context, the
+// -metrics listener, the flag and exit-code contract of a main that
+// returns) and the capture plane probesim runs, locally or shipping
+// with -aggr (capture.go).
 package daemon
 
 import (

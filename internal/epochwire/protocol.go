@@ -1,6 +1,6 @@
 // Package epochwire is the distributed-collection plane: a versioned,
 // length-prefixed TCP protocol that ships sealed rollup epochs from
-// probe daemons (cmd/probed) to a merging aggregator (cmd/aggd).
+// probes (cmd/probesim -aggr) to a merging aggregator (cmd/aggd).
 //
 // The paper's measurement infrastructure is probes inside an operator
 // network streaming aggregates to a central collection point — the

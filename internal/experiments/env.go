@@ -2,8 +2,8 @@
 // paper's evaluation, a registry to enumerate and look them up, and a
 // concurrent engine executing them over one shared environment. Every
 // runner returns a Result with the rendered text figure and the
-// headline metrics, so the figures command, the benchmark harness,
-// the JSON export and EXPERIMENTS.md all consume the same code path.
+// headline metrics, so cmd/analyze, the benchmark harness, the JSON
+// export and EXPERIMENTS.md all consume the same code path.
 package experiments
 
 import (

@@ -19,7 +19,7 @@ import (
 // noise realization — carries the results.
 //
 // It is intentionally not part of All(): it multiplies the generation
-// cost and is run explicitly (`figures -fig` does not reach it; the
+// cost and is run explicitly (`analyze -ids` does not reach it; the
 // sensitivity test and EXPERIMENTS.md call it directly).
 func SeedSensitivity(base synth.Config, seeds []uint64) (Result, error) {
 	res := Result{ID: "sensitivity", Title: "Seed sensitivity of headline metrics", Metrics: map[string]float64{}}

@@ -29,10 +29,10 @@ var Durability = &Analyzer{
 // durablePlanes are the packages whose files survive a process on
 // purpose: wire spool + aggregator state, rollup snapshots, the
 // catalog over them, and the daemons/CLI that write them (the capture
-// binaries' -snapshot write lives in internal/daemon).
+// binary's -snapshot write lives in internal/daemon).
 var durablePlanes = []string{
 	"internal/epochwire", "internal/rollup", "internal/catalog", "internal/daemon",
-	"cmd/aggd", "cmd/probed", "cmd/rollupctl",
+	"cmd/aggd", "cmd/probesim", "cmd/rollupctl",
 }
 
 // storePlanes additionally require every created file to be synced:

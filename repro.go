@@ -41,7 +41,11 @@
 //	internal/chaos        seeded fault injection behind the wire and disk seams
 //	internal/lint         the repolint analyzers (machine-checked invariants)
 //	internal/leakcheck    goroutine-leak helper for tests
-//	cmd/...               executables, examples/... runnable examples
+//	cmd/analyze           the study: headline summary, -ids figures, -list, -snapshot input
+//	cmd/probesim          capture plane: local run, or a networked probe with -aggr
+//	cmd/aggd,rollupctl,
+//	cmd/tracegen,repolint aggregator, snapshot algebra, trace recorder, invariant suite
+//	examples/...          Example tests with pinned output (go test ./examples/...)
 //	bench/                the performance ledger (BENCHMARK.json)
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
