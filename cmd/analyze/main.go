@@ -81,31 +81,22 @@ func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool,
 		return nil, nan, fmt.Errorf("analyze: -full-scan reads one snapshot file, not a directory (merge it first: rollupctl merge)")
 	}
 	switch {
-	case !hasView && !fi.IsDir():
-		env, err := experiments.NewEnvFromSnapshot(path, seed)
-		if err != nil {
-			return nil, nan, err
-		}
-		x, err := rollup.OpenIndexed(path)
-		if err != nil {
-			return nil, nan, err
-		}
-		h := x.Header()
-		return env, (h.ClassifiedBytes[0] + h.ClassifiedBytes[1]) / (h.TotalBytes[0] + h.TotalBytes[1]), x.Close()
-	case fullScan:
+	case fullScan || !hasView && !fi.IsDir():
 		p, err := rollup.ReadFile(path)
 		if err != nil {
 			return nil, nan, err
 		}
-		view, err := spec.Apply(p)
+		rate := nan
+		if !hasView {
+			rate = (p.ClassifiedBytes[0] + p.ClassifiedBytes[1]) / (p.TotalBytes[0] + p.TotalBytes[1])
+		} else if p, err = spec.Apply(p); err != nil {
+			return nil, nan, err
+		}
+		ds, err := p.Dataset()
 		if err != nil {
 			return nil, nan, err
 		}
-		ds, err := view.Dataset()
-		if err != nil {
-			return nil, nan, err
-		}
-		return experiments.NewEnvFrom(ds, seed), nan, nil
+		return experiments.NewEnvFrom(ds, seed), rate, nil
 	default:
 		c, err := catalog.Open(path)
 		if err != nil {
@@ -116,8 +107,8 @@ func snapshotEnv(stderr io.Writer, path, window, svcNames string, fullScan bool,
 		if err != nil {
 			return nil, nan, err
 		}
-		fmt.Fprintf(stderr, "analyze: planner decoded %d/%d epochs across %d files (%d pruned, %d v1 fallbacks)\n",
-			st.EpochsDecoded, st.EpochsTotal, st.Files, st.FilesPruned, st.Fallbacks)
+		fmt.Fprintf(stderr, "analyze: planner decoded %d/%d epochs across %d files (%d pruned)\n",
+			st.EpochsDecoded, st.EpochsTotal, st.Files, st.FilesPruned)
 		return experiments.NewEnvFrom(ds, seed), nan, nil
 	}
 }

@@ -83,7 +83,7 @@ func TestPlannerMatchesFullScan(t *testing.T) {
 	if !strings.Contains(planned, `"id": "fig2"`) || !strings.Contains(planned, `"id": "fig8"`) {
 		t.Fatalf("JSON lacks the two requested experiments:\n%s", planned)
 	}
-	if !strings.HasPrefix(stats, "analyze: planner decoded ") || !strings.Contains(stats, "across 3 files (1 pruned, 0 v1 fallbacks)") {
+	if !strings.HasPrefix(stats, "analyze: planner decoded ") || !strings.Contains(stats, "across 3 files (1 pruned)") {
 		t.Errorf("planner stats line on stderr: %q", stats)
 	}
 	if quiet != "" {

@@ -167,8 +167,8 @@ type indexJSON struct {
 	CommuneBitmaps int `json:"commune_bitmaps"`
 }
 
-// indexSummary condenses a v2 footer index; nil for a v1 file (no
-// entries).
+// indexSummary condenses a v2 footer index; nil for a v1 file, whose
+// plain decode keeps no index.
 func indexSummary(entries []rollup.IndexEntry) *indexJSON {
 	if entries == nil {
 		return nil
@@ -193,19 +193,23 @@ func indexSummary(entries []rollup.IndexEntry) *indexJSON {
 	return ix
 }
 
-// summarize opens one snapshot (validating a v2 footer index) and scans
-// it end to end — structure and CRC verified as it goes — into its info
-// object; hdr is the decoded header the human rendering formats.
+// summarize decodes one snapshot end to end — structure, CRC and a v2
+// footer index verified as it goes — into its info object; hdr is the
+// decoded header the human rendering formats.
 func summarize(path string) (info *infoJSON, hdr *rollup.Partial, err error) {
-	x, err := rollup.OpenIndexed(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer x.Close()
-	p := x.Header()
+	defer f.Close()
+	d, err := rollup.NewDecoder(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	p := d.Header()
 	info = &infoJSON{
 		File: path, Bins: p.Cfg.Bins, Step: p.Cfg.Step.String(), Start: p.Cfg.Start.Format(time.RFC3339),
-		Services: len(p.Services), FormatVersion: x.Version(), Epochs: x.EpochCount(), Index: indexSummary(x.Entries()),
+		Services: len(p.Services), FormatVersion: d.Version(), Epochs: d.EpochCount(),
 		TotalBytes:      map[string]float64{"dl": p.TotalBytes[services.DL], "ul": p.TotalBytes[services.UL]},
 		ClassifiedBytes: map[string]float64{"dl": p.ClassifiedBytes[services.DL], "ul": p.ClassifiedBytes[services.UL]},
 	}
@@ -219,15 +223,23 @@ func summarize(path string) (info *infoJSON, hdr *rollup.Partial, err error) {
 	info.Counters.DecodeErrors = p.Counters.DecodeErrors
 	info.Counters.UnknownTEID = p.Counters.UnknownTEID
 	info.Counters.UnknownCell = p.Counters.UnknownCell
-	err = x.Scan(func(ep rollup.Epoch) error {
+	var buf []rollup.Cell
+	for {
+		ep, ok, err := d.Next(buf)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if !ok {
+			break
+		}
 		info.Cells += len(ep.Cells)
 		if ep.Bin == rollup.OverflowBin {
 			info.OverflowCells = len(ep.Cells)
 		}
-		return nil
-	})
-	info.CRCOk = err == nil
-	return info, p, err
+		buf = ep.Cells
+	}
+	info.Index, info.CRCOk = indexSummary(d.Index()), true
+	return info, p, nil
 }
 
 func runInfo(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -259,7 +271,7 @@ func runInfo(ctx context.Context, args []string, stdout, stderr io.Writer) error
 		if info.OverflowCells > 0 {
 			overflow = fmt.Sprintf("yes (%d cells)", info.OverflowCells)
 		}
-		format := "v1 (sequential only)"
+		format := "v1 (no footer index)"
 		if ix := info.Index; ix != nil {
 			format = fmt.Sprintf("v2 (footer index: %d epochs, %d service + %d commune bitmaps)",
 				ix.Epochs, ix.ServiceBitmaps, ix.CommuneBitmaps)

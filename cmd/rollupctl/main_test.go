@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -134,5 +136,74 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", tc.stderr, errs)
 			}
 		})
+	}
+}
+
+// goldenFile decodes one of the rollup package's pinned hex goldens
+// into a snapshot file and returns its path and bytes.
+func goldenFile(t *testing.T, dir, name string) (string, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "rollup", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, strings.TrimSuffix(name, ".golden")+".roll")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, data
+}
+
+// TestGoldensInfoAndUpgrade pins the info -json and upgrade surface on
+// both committed format goldens: the v1 file reports format 1 with no
+// index object, both verify, the cell counts match a full decode, and
+// upgrading the v1 golden writes exactly WriteV2 of its partial.
+func TestGoldensInfoAndUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{{"snapshot_v1.golden", rollup.SnapshotV1}, {"snapshot_v2.golden", rollup.SnapshotV2}} {
+		path, data := goldenFile(t, dir, tc.name)
+		p, err := rollup.Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, overflow := 0, 0
+		for _, ep := range p.Epochs {
+			cells += len(ep.Cells)
+			if ep.Bin == rollup.OverflowBin {
+				overflow = len(ep.Cells)
+			}
+		}
+		out, _ := rollupctl(t, 0, "info", "-json", path)
+		var info map[string]any
+		if err := json.Unmarshal([]byte(out), &info); err != nil {
+			t.Fatalf("%s: info -json is not one JSON object: %v\n%s", tc.name, err, out)
+		}
+		_, hasIndex := info["index"]
+		if info["format_version"] != float64(tc.version) || hasIndex != (tc.version == rollup.SnapshotV2) {
+			t.Errorf("%s: format_version %v, index present %v", tc.name, info["format_version"], hasIndex)
+		}
+		if info["crc_ok"] != true || info["cells"] != float64(cells) || info["overflow_cells"] != float64(overflow) {
+			t.Errorf("%s: crc_ok %v, cells %v (want %d), overflow_cells %v (want %d)",
+				tc.name, info["crc_ok"], info["cells"], cells, info["overflow_cells"], overflow)
+		}
+		if tc.version != rollup.SnapshotV1 {
+			continue
+		}
+		upgraded := filepath.Join(dir, "upgraded.roll")
+		rollupctl(t, 0, "upgrade", path, upgraded)
+		var want bytes.Buffer
+		if err := rollup.WriteV2(&want, p); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(upgraded); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("upgrade of the v1 golden (%d bytes) differs from WriteV2 of its partial (%d bytes)", len(got), want.Len())
+		}
 	}
 }

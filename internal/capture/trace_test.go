@@ -292,3 +292,72 @@ func BenchmarkTraceReplay(b *testing.B) {
 		}
 	}
 }
+
+// FuzzTraceReader replays arbitrary bytes as a trace, then the same
+// bytes with cut bytes taken off the end. The reader must never panic
+// or yield a frame over maxFrameLen; the cut trace must replay a
+// prefix of what the whole one replays; and a cut that does not fall
+// on a record boundary of the whole replay must end in an error, never
+// a clean io.EOF.
+func FuzzTraceReader(f *testing.F) {
+	clean := encodeTrace(f, sizedFrames(5, 0, 9, 300))
+	f.Add(clean, uint16(0))
+	f.Add(clean, uint16(1))                            // inside the last record's body
+	f.Add(clean, uint16(312))                          // exactly the last record: a boundary
+	f.Add(clean, uint16(300))                          // inside the last record's body, near its start
+	f.Add(clean, uint16(len(clean)-len(traceMagic)-5)) // inside the first record header
+	f.Add(clean, uint16(len(clean)-3))                 // inside the magic
+	flip := append([]byte(nil), clean...)
+	flip[len(traceMagic)+8] ^= 0x80 // first record declares ≥ 2 GiB
+	f.Add(flip, uint16(0))
+	flip = append([]byte(nil), clean...)
+	flip[len(traceMagic)+recordHeaderLen+2] ^= 0x01 // a payload byte: still a valid trace
+	f.Add(flip, uint16(7))
+	f.Add([]byte{}, uint16(0))
+
+	// replay reads b to its end; ok is false when the header is refused.
+	replay := func(t *testing.T, b []byte) (frames []Frame, ok bool, err error) {
+		rd, err := NewReader(bytes.NewReader(b))
+		if err != nil {
+			return nil, false, err
+		}
+		frames, err = Collect(rd)
+		for i, fr := range frames {
+			if len(fr.Data) > maxFrameLen {
+				t.Fatalf("frame %d is %d bytes, over the %d limit", i, len(fr.Data), maxFrameLen)
+			}
+		}
+		return frames, true, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		whole, ok, _ := replay(t, data)
+		short := data[:len(data)-int(cut)%(len(data)+1)]
+		got, shortOK, err := replay(t, short)
+		if shortOK != (ok && len(short) >= len(traceMagic)) {
+			t.Fatalf("header of the whole trace accepted %v, of its %d-byte prefix %v (%v)", ok, len(short), shortOK, err)
+		}
+		if !shortOK {
+			return
+		}
+		if len(got) > len(whole) {
+			t.Fatalf("cut trace replayed %d frames, the whole one %d", len(got), len(whole))
+		}
+		for i := range got {
+			if !got[i].Time.Equal(whole[i].Time) || !bytes.Equal(got[i].Data, whole[i].Data) {
+				t.Fatalf("cut trace frame %d differs from the whole replay's", i)
+			}
+		}
+		boundary, n := len(traceMagic), 0
+		for n < len(whole) && boundary < len(short) {
+			boundary += recordHeaderLen + len(whole[n].Data)
+			n++
+		}
+		if boundary == len(short) {
+			if err != nil || len(got) != n {
+				t.Fatalf("cut on the boundary after %d records: %d frames, err %v", n, len(got), err)
+			}
+		} else if err == nil {
+			t.Fatalf("cut at %d, inside a record, ended in a clean EOF after %d frames", len(short), len(got))
+		}
+	})
+}

@@ -11,9 +11,10 @@
 // only then seek-decodes the surviving records. What it decodes folds
 // through the same Merge/Window algebra every other surface uses, so a
 // catalog query is defined — and tested — to equal the full-scan
-// reference: merge every file, then ViewSpec.Apply. v1 files (no
-// index) degrade to a sequential scan of that file only; answers stay
-// exact, the Stats just show no pruning for it.
+// reference: merge every file, then ViewSpec.Apply. A v1 member has
+// no footer; rollup.OpenIndexed indexes it at open from one sequential
+// decode, without presence bitmaps, so its epochs prune by time and id
+// range only.
 //
 // Memory is bounded by the decoded result, not the store: pruned
 // epochs are never materialized. A Catalog is safe for concurrent
@@ -48,15 +49,13 @@ type Catalog struct {
 }
 
 // Stats describes what one query touched — the planner's accounting.
-// EpochsDecoded versus EpochsTotal is the pruning ratio; Fallbacks
-// counts v1 members that had to be scanned sequentially.
+// EpochsDecoded versus EpochsTotal is the pruning ratio.
 type Stats struct {
 	Files         int `json:"files"`
 	FilesPruned   int `json:"files_pruned"`
 	EpochsTotal   int `json:"epochs_total"`
 	EpochsDecoded int `json:"epochs_decoded"`
 	CellsDecoded  int `json:"cells_decoded"`
-	Fallbacks     int `json:"fallbacks"`
 }
 
 // Open opens a store from the given paths. A directory contributes
@@ -265,26 +264,6 @@ func (f *file) collect(spec rollup.ViewSpec, from, to int, st *Stats) (*rollup.P
 		}
 	}
 	sub := &rollup.Partial{Cfg: hdr.Cfg, Services: hdr.Services}
-	if !f.x.Indexed() {
-		// v1 fallback: sequential scan of this one file, pruning in code
-		// what the index would have pruned on disk.
-		st.Fallbacks++
-		err := f.x.Scan(func(ep rollup.Epoch) error {
-			st.EpochsDecoded++
-			st.CellsDecoded += len(ep.Cells)
-			if ep.Bin == rollup.OverflowBin || ep.Bin < lo || ep.Bin >= hi {
-				return nil
-			}
-			if cells := filterCells(ep.Cells, svcKeep, comKeep); len(cells) > 0 {
-				sub.Epochs = append(sub.Epochs, rollup.Epoch{Bin: ep.Bin, Cells: cells})
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sub, nil
-	}
 	var buf []rollup.Cell
 	for i, en := range f.x.Entries() {
 		if en.Bin == rollup.OverflowBin || en.Bin < lo || en.Bin >= hi || en.Cells == 0 {

@@ -211,8 +211,9 @@ func TestOpenDirectory(t *testing.T) {
 	}
 }
 
-// TestV1Fallback: a store mixing v1 (no index) and v2 members answers
-// exactly, counting the v1 scans as fallbacks.
+// TestV1Fallback: a store mixing v1 (no footer index) and v2 members
+// answers exactly, and a narrow window prunes inside the v1 member by
+// the index its open built.
 func TestV1Fallback(t *testing.T) {
 	dir := t.TempDir()
 	var paths []string
@@ -251,12 +252,9 @@ func TestV1Fallback(t *testing.T) {
 	}
 	defer c.Close()
 	spec := rollup.ViewSpec{From: 0, To: 3 * dayBins, Services: []string{"Netflix"}}
-	got, st, err := c.Query(spec)
+	got, _, err := c.Query(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Fallbacks != 1 {
-		t.Fatalf("mixed store counted %d fallbacks, want 1", st.Fallbacks)
 	}
 	want, err := spec.Apply(merged)
 	if err != nil {
@@ -264,6 +262,24 @@ func TestV1Fallback(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("mixed v1/v2 store diverges from the reference")
+	}
+	v1, err := rollup.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow := rollup.ViewSpec{From: dayBins + 2, To: dayBins + 5}
+	got, st, err := c.Query(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.EpochsDecoded >= len(v1.Epochs) {
+		t.Fatalf("window %s decoded %d epochs, the v1 member alone holds %d", narrow, st.EpochsDecoded, len(v1.Epochs))
+	}
+	if want, err = narrow.Apply(merged); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("window %s over the mixed store diverges from the reference", narrow)
 	}
 }
 
@@ -378,9 +394,9 @@ func BenchmarkCatalogQuery(b *testing.B) {
 }
 
 // TestV1GoldenThroughCatalog opens the pinned v1 golden snapshot (the
-// seed-era format, no index) through the catalog: old stores must stay
-// fully readable, answered by the sequential fallback, and equal to
-// the full-scan reference.
+// seed-era format, no footer index) through the catalog: old stores
+// must stay fully readable, prune by the index the open built, and
+// equal the full-scan reference.
 func TestV1GoldenThroughCatalog(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("..", "rollup", "testdata", "snapshot_v1.golden"))
 	if err != nil {
@@ -412,8 +428,8 @@ func TestV1GoldenThroughCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Fallbacks != 1 {
-			t.Fatalf("v1 golden answered with %d fallbacks, want 1", st.Fallbacks)
+		if spec.To == 1 && st.EpochsDecoded >= st.EpochsTotal {
+			t.Fatalf("window %s decoded %d of the v1 golden's %d epochs", spec.String(), st.EpochsDecoded, st.EpochsTotal)
 		}
 		want, err := spec.Apply(ref)
 		if err != nil {

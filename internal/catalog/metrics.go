@@ -14,7 +14,6 @@ type Metrics struct {
 	EpochsTotal   *obs.Counter // catalog_query_epochs_total: epochs in considered members
 	EpochsDecoded *obs.Counter // catalog_query_epochs_decoded_total: epochs actually decoded
 	CellsDecoded  *obs.Counter // catalog_query_cells_decoded_total: cells actually decoded
-	Fallbacks     *obs.Counter // catalog_query_fallbacks_total: v1 members scanned sequentially
 }
 
 // newMetrics registers the catalog metric family in reg.
@@ -27,7 +26,6 @@ func newMetrics(reg *obs.Registry) *Metrics {
 		EpochsTotal:   reg.Counter("catalog_query_epochs_total", "Epochs in considered members across queries."),
 		EpochsDecoded: reg.Counter("catalog_query_epochs_decoded_total", "Epochs actually decoded across queries."),
 		CellsDecoded:  reg.Counter("catalog_query_cells_decoded_total", "Cells actually decoded across queries."),
-		Fallbacks:     reg.Counter("catalog_query_fallbacks_total", "v1 members scanned sequentially (no footer index)."),
 	}
 }
 
@@ -39,5 +37,4 @@ func (m *Metrics) observe(st Stats) {
 	m.EpochsTotal.Add(uint64(st.EpochsTotal))
 	m.EpochsDecoded.Add(uint64(st.EpochsDecoded))
 	m.CellsDecoded.Add(uint64(st.CellsDecoded))
-	m.Fallbacks.Add(uint64(st.Fallbacks))
 }

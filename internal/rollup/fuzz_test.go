@@ -46,10 +46,13 @@ func probesimSnapshot(tb testing.TB, sessions, shards int) []byte {
 }
 
 // FuzzSnapshotReader feeds arbitrary bytes to the snapshot decoder,
-// seeded with a real probesim snapshot and the handcrafted golden. The
-// decoder must never panic or over-allocate; whatever it does accept
-// must re-encode and re-decode to the same partial (the format is
-// canonical, so decode∘encode is the identity on valid snapshots).
+// seeded with a real probesim snapshot and the handcrafted golden in
+// both versions. The decoder must never panic or over-allocate;
+// whatever it does accept must re-encode and re-decode to the same
+// partial (the format is canonical, so decode∘encode is the identity
+// on valid snapshots), and must open as a file with OpenIndexed, one
+// entry per epoch, each seek-decoding to the epoch the sequential read
+// yields — the v1 index built at open and the v2 footer alike.
 func FuzzSnapshotReader(f *testing.F) {
 	f.Add(probesimSnapshot(f, 60, 2))
 	var golden bytes.Buffer
@@ -64,6 +67,11 @@ func FuzzSnapshotReader(f *testing.F) {
 	flip := append([]byte(nil), full...)
 	flip[len(flip)/3] ^= 0x10 // bit-flipped
 	f.Add(flip)
+	var goldenV2 bytes.Buffer
+	if err := WriteV2(&goldenV2, goldenPartial()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(goldenV2.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Read(bytes.NewReader(data))
@@ -80,6 +88,24 @@ func FuzzSnapshotReader(f *testing.F) {
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatal("decode∘encode is not the identity on an accepted snapshot")
+		}
+		x, err := OpenIndexed(writeTemp(t, data))
+		if err != nil {
+			t.Fatalf("snapshot Read accepts does not open indexed: %v", err)
+		}
+		defer x.Close()
+		if len(x.Entries()) != x.EpochCount() || x.EpochCount() != len(p.Epochs) {
+			t.Fatalf("v%d index has %d entries, EpochCount %d, the sequential read %d epochs",
+				x.Version(), len(x.Entries()), x.EpochCount(), len(p.Epochs))
+		}
+		for i := range x.Entries() {
+			ep, err := x.DecodeEntry(i, nil)
+			if err != nil {
+				t.Fatalf("v%d entry %d: %v", x.Version(), i, err)
+			}
+			if !reflect.DeepEqual(ep, p.Epochs[i]) {
+				t.Fatalf("v%d entry %d seek-decoded %+v, the sequential read %+v", x.Version(), i, ep, p.Epochs[i])
+			}
 		}
 	})
 }

@@ -59,8 +59,10 @@ const (
 
 var indexMagic = [4]byte{'G', 'I', 'D', 'X'}
 
-// IndexEntry describes one epoch record of a v2 snapshot: where it
-// lives, what it covers, and the CRC that guards a seek-decode of it.
+// IndexEntry describes one epoch record of a snapshot: where it lives,
+// what it covers, and the CRC that guards a seek-decode of it. A v2
+// file's entries come from its footer, a v1 file's from the decode
+// OpenIndexed runs at open.
 type IndexEntry struct {
 	Bin    int
 	Offset int64 // absolute file offset of the epoch record
@@ -68,7 +70,8 @@ type IndexEntry struct {
 	CRC    uint32 // CRC-32 (IEEE) of the record bytes
 
 	// Id ranges and presence bitmaps, valid only when Cells > 0. A nil
-	// bitmap means range-only pruning (the span was too wide to index).
+	// bitmap means range-only pruning (the span was too wide to index,
+	// or the entry indexes a v1 file).
 	SvcMin, SvcMax uint32
 	ComMin, ComMax uint32
 	SvcBits        []byte
@@ -190,8 +193,8 @@ func appendBitmap(dst []byte, lo, hi uint32, bits []byte) []byte {
 
 // parseFooter decodes and validates a v2 footer read through cr. The
 // grid, service-table size and declared epoch count come from the
-// (already decoded) header; epochsStart and payloadEnd bound the file
-// region entry offsets may point into. Every declared size is checked
+// (already decoded) header; the records must tile [epochsStart,
+// payloadEnd) from its first byte. Every declared size is checked
 // before allocation and every structural invariant — ascending bins,
 // ascending in-bounds offsets, records long enough for their cell
 // counts, bitmap shapes with their min/max bits set and no stray bits
@@ -216,6 +219,14 @@ func parseFooter(cr *crcReader, bins, nServices, nEpochs int, epochsStart, paylo
 	if int(count) != nEpochs {
 		return 0, nil, fmt.Errorf("rollup: snapshot index declares %d epochs, header declared %d", count, nEpochs)
 	}
+	// The records tile [epochsStart, payloadEnd) exactly — the first
+	// starts where the header ends, each ends where the next starts
+	// (DecodeEntry holds every record to its length), the last ends at
+	// the payload CRC — so the header CRC and the record CRCs together
+	// cover every payload byte a seeking reader trusts.
+	if nEpochs == 0 && payloadEnd != epochsStart {
+		return 0, nil, fmt.Errorf("rollup: %d payload bytes behind a snapshot of no epochs", payloadEnd-epochsStart)
+	}
 	entries = make([]IndexEntry, 0, min(nEpochs, cellPrealloc))
 	prevBin := OverflowBin - 1
 	prevOff := int64(0)
@@ -239,7 +250,7 @@ func parseFooter(cr *crcReader, bins, nServices, nEpochs int, epochsStart, paylo
 			return 0, nil, err
 		}
 		en.Offset = prevOff + int64(delta)
-		if en.Offset < epochsStart || en.Offset >= payloadEnd || (i > 0 && delta == 0) {
+		if (i == 0 && en.Offset != epochsStart) || en.Offset >= payloadEnd || (i > 0 && delta == 0) {
 			return 0, nil, fmt.Errorf("rollup: snapshot index offset %d outside epochs [%d, %d)", en.Offset, epochsStart, payloadEnd)
 		}
 		prevOff = en.Offset

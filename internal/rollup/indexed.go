@@ -7,31 +7,30 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 )
 
-// IndexedSnapshot is a random-access reader over one snapshot file.
-// For a v2 file it decodes the header sequentially, then seeks to the
-// footer index — verifying the footer CRC and the header CRC the
-// footer carries — and can decode any single epoch record by offset,
-// verifying that record's own CRC, without touching the rest of the
-// payload. A v1 file opens in fallback mode: no index, and Scan is the
-// only read path (the catalog planner then prunes nothing for that
-// file but still answers correctly).
+// IndexedSnapshot is a random-access reader over one snapshot file of
+// either version: it holds an index entry per epoch record and can
+// decode any single record by offset, verifying that record's own CRC,
+// without touching the rest of the payload. A v2 file's index is its
+// footer: Open decodes the header sequentially, then seeks to the
+// footer — verifying the footer CRC and the header CRC the footer
+// carries. A v1 file has no footer, so Open decodes it once end to end
+// (CRC-verified) and indexes it from what that decode noted: the same
+// entries minus the presence bitmaps, which makes pruning over it
+// range-only (HasService/HasCommune test the id span).
 //
 // All reads after Open go through ReadAt, so one IndexedSnapshot
 // serves concurrent queries without coordination; the returned header
 // and entries are shared and must be treated as read-only.
 type IndexedSnapshot struct {
-	f           *os.File
-	path        string
-	hdr         *Partial
-	version     int
-	nEpochs     int
-	entries     []IndexEntry // nil in fallback (v1) mode
-	epochsStart int64
-	payloadEnd  int64
+	f          *os.File
+	path       string
+	hdr        *Partial
+	version    int
+	entries    []IndexEntry
+	payloadEnd int64
 }
 
 // OpenIndexed opens path for random-access reads.
@@ -53,8 +52,22 @@ func openIndexed(f *os.File, path string) (*IndexedSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := &IndexedSnapshot{f: f, path: path, hdr: d.Header(), version: d.Version(), nEpochs: d.EpochCount()}
-	if x.version != SnapshotV2 {
+	x := &IndexedSnapshot{f: f, path: path, hdr: d.Header(), version: d.Version()}
+	if x.version == SnapshotV1 {
+		d.notes = true
+		var buf []Cell
+		for {
+			ep, ok, err := d.Next(buf)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			buf = ep.Cells
+		}
+		// cr counted the payload; finish verified its CRC and EOF behind it.
+		x.entries, x.payloadEnd = d.Index(), snapshotMagicLen+d.cr.n
 		return x, nil
 	}
 	fi, err := f.Stat()
@@ -84,7 +97,7 @@ func openIndexed(f *os.File, path string) (*IndexedSnapshot, error) {
 	}
 	x.payloadEnd = footerOff - 4
 	fc := &crcReader{br: bufio.NewReader(bytes.NewReader(foot))}
-	headerCRC, entries, err := parseFooter(fc, x.hdr.Cfg.Bins, len(x.hdr.Services), x.nEpochs, d.epochsStart, x.payloadEnd)
+	headerCRC, entries, err := parseFooter(fc, x.hdr.Cfg.Bins, len(x.hdr.Services), d.EpochCount(), d.epochsStart, x.payloadEnd)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +110,6 @@ func openIndexed(f *os.File, path string) (*IndexedSnapshot, error) {
 		return nil, fmt.Errorf("rollup: snapshot index header crc mismatch")
 	}
 	x.entries = entries
-	x.epochsStart = d.epochsStart
 	return x, nil
 }
 
@@ -108,14 +120,10 @@ func (x *IndexedSnapshot) Header() *Partial { return x.hdr }
 // Version returns the snapshot format version.
 func (x *IndexedSnapshot) Version() int { return x.version }
 
-// EpochCount returns the declared number of epoch records.
-func (x *IndexedSnapshot) EpochCount() int { return x.nEpochs }
+// EpochCount returns the number of epoch records.
+func (x *IndexedSnapshot) EpochCount() int { return len(x.entries) }
 
-// Indexed reports whether the file carries a validated footer index
-// (v2). When false, Scan is the only read path.
-func (x *IndexedSnapshot) Indexed() bool { return x.entries != nil }
-
-// Entries returns the validated footer index (nil in fallback mode).
+// Entries returns the index, one entry per epoch record in file order.
 // Shared and read-only.
 func (x *IndexedSnapshot) Entries() []IndexEntry { return x.entries }
 
@@ -129,54 +137,25 @@ func (x *IndexedSnapshot) Path() string { return x.path }
 // against the entry's presence maps — a v2 file whose index lies
 // errors here, it never mis-answers a pruned query.
 func (x *IndexedSnapshot) DecodeEntry(i int, buf []Cell) (Epoch, error) {
-	if x.entries == nil {
-		return Epoch{}, fmt.Errorf("rollup: %s has no index to seek by", x.path)
-	}
 	en := &x.entries[i]
 	end := x.payloadEnd
 	if i+1 < len(x.entries) {
 		end = x.entries[i+1].Offset
 	}
 	cr := &crcReader{br: bufio.NewReader(io.NewSectionReader(x.f, en.Offset, end-en.Offset))}
-	bin, cells, _, err := decodeEpoch(cr, x.hdr.Cfg.Bins, len(x.hdr.Services), buf)
+	rec, cells, err := decodeEpoch(cr, x.hdr.Cfg.Bins, len(x.hdr.Services), buf)
 	if err != nil {
 		return Epoch{}, fmt.Errorf("%s: epoch record at %d: %w", x.path, en.Offset, err)
 	}
-	if bin != en.Bin || len(cells) != en.Cells || cr.n != end-en.Offset || cr.crc != en.CRC {
+	if rec.Bin != en.Bin || rec.Cells != en.Cells || cr.n != end-en.Offset || cr.crc != en.CRC {
 		return Epoch{}, fmt.Errorf("%s: epoch record at %d contradicts the snapshot index", x.path, en.Offset)
 	}
 	for _, c := range cells {
 		if !en.HasService(c.Svc) || !en.HasCommune(uint32(c.Commune)) {
-			return Epoch{}, fmt.Errorf("%s: epoch %d holds cells its index entry denies", x.path, bin)
+			return Epoch{}, fmt.Errorf("%s: epoch %d holds cells its index entry denies", x.path, rec.Bin)
 		}
 	}
-	return Epoch{Bin: bin, Cells: cells}, nil
-}
-
-// Scan decodes the whole snapshot sequentially — CRC-verified end to
-// end, either version — calling fn for each epoch. The cell buffer is
-// reused across calls; fn must not retain it. Scan reads through a
-// section reader over the shared handle, so concurrent Scans (and
-// DecodeEntry calls) are safe.
-func (x *IndexedSnapshot) Scan(fn func(Epoch) error) error {
-	d, err := NewDecoder(io.NewSectionReader(x.f, 0, math.MaxInt64))
-	if err != nil {
-		return fmt.Errorf("%s: %w", x.path, err)
-	}
-	var buf []Cell
-	for {
-		ep, ok, err := d.Next(buf)
-		if err != nil {
-			return fmt.Errorf("%s: %w", x.path, err)
-		}
-		if !ok {
-			return nil
-		}
-		if err := fn(ep); err != nil {
-			return err
-		}
-		buf = ep.Cells
-	}
+	return Epoch{Bin: rec.Bin, Cells: cells}, nil
 }
 
 // Close releases the file handle. No reads may be in flight.

@@ -2,7 +2,9 @@ package rollup
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -121,7 +123,7 @@ func TestUpgradeFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	if !x.Indexed() || len(x.Entries()) != len(a.Epochs) {
+	if x.Version() != SnapshotV2 || len(x.Entries()) != len(a.Epochs) {
 		t.Fatalf("upgraded snapshot indexes %d entries, want %d", len(x.Entries()), len(a.Epochs))
 	}
 
@@ -180,31 +182,36 @@ func TestOpenIndexedSeeks(t *testing.T) {
 	}
 }
 
-// TestOpenIndexedV1Fallback opens a v1 file: no index, Scan still
-// reads it whole.
+// TestOpenIndexedV1Fallback opens a v1 file: it has no footer, so the
+// open decodes it once and indexes it from that decode — one entry per
+// epoch record — and every entry seek-decodes to the epoch the
+// sequential read yields.
 func TestOpenIndexedV1Fallback(t *testing.T) {
 	p := goldenPartial()
 	var v1 bytes.Buffer
 	if err := Write(&v1, p); err != nil {
 		t.Fatal(err)
 	}
+	want := mustRead(t, v1.Bytes())
 	x, err := OpenIndexed(writeTemp(t, v1.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer x.Close()
-	if x.Indexed() || x.Version() != SnapshotV1 {
-		t.Fatalf("v1 snapshot opened as version %d, indexed %v", x.Version(), x.Indexed())
+	if x.Version() != SnapshotV1 || len(x.Entries()) != x.EpochCount() || x.EpochCount() != len(want.Epochs) {
+		t.Fatalf("v1 snapshot opened as version %d with %d entries for %d epochs (%d declared)",
+			x.Version(), len(x.Entries()), len(want.Epochs), x.EpochCount())
 	}
-	if _, err := x.DecodeEntry(0, nil); err == nil {
-		t.Fatal("DecodeEntry on an unindexed snapshot did not refuse")
-	}
-	n := 0
-	if err := x.Scan(func(Epoch) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != x.EpochCount() {
-		t.Fatalf("fallback scan yielded %d epochs, want %d", n, x.EpochCount())
+	var buf []Cell
+	for i := range x.Entries() {
+		ep, err := x.DecodeEntry(i, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ep, want.Epochs[i]) {
+			t.Fatalf("v1 entry %d seek-decoded %+v, the sequential read %+v", i, ep, want.Epochs[i])
+		}
+		buf = ep.Cells[:0]
 	}
 }
 
@@ -257,5 +264,48 @@ func TestSnapshotV2BitFlips(t *testing.T) {
 			}
 		}
 		x.Close()
+	}
+}
+
+// TestOpenIndexedRejectsUncoveredBytes inserts junk between the header
+// and the first epoch record of a v2 file and re-points a re-CRCed
+// footer past it. Every offset still lands on a record whose CRC
+// matches, but the junk is covered by no checksum: the sequential
+// reader trips over it, and the seeking opener must refuse the file
+// too rather than serve a store Read rejects.
+func TestOpenIndexedRejectsUncoveredBytes(t *testing.T) {
+	withEpochs := goldenPartial()
+	noEpochs := goldenPartial()
+	noEpochs.Epochs = nil
+	for _, p := range []*Partial{withEpochs, noEpochs} {
+		full := encodeV2(t, p)
+		x, err := OpenIndexed(writeTemp(t, full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := append([]IndexEntry(nil), x.Entries()...)
+		start, footerOff := x.payloadEnd, x.payloadEnd+4 // no epochs: the header ends the payload
+		if len(entries) > 0 {
+			start = entries[0].Offset
+		}
+		x.Close()
+		const pad = 7
+		for i := range entries {
+			entries[i].Offset += pad
+		}
+		mut := append([]byte(nil), full[:start]...)
+		mut = append(mut, bytes.Repeat([]byte{0xff}, pad)...)
+		mut = append(mut, full[start:footerOff]...)
+		foot := appendFooter(nil, binary.BigEndian.Uint32(full[footerOff+4:]), entries)
+		mut = append(mut, foot...)
+		mut = binary.BigEndian.AppendUint32(mut, crc32.ChecksumIEEE(foot))
+		mut = binary.BigEndian.AppendUint64(mut, uint64(footerOff+pad))
+		if _, err := Read(bytes.NewReader(mut)); err == nil {
+			t.Fatalf("%d epochs: sequential read accepted uncovered bytes", len(p.Epochs))
+		}
+		if x, err := OpenIndexed(writeTemp(t, mut)); err == nil {
+			x.Close()
+			t.Fatalf("%d epochs: indexed open accepted %d bytes no checksum covers", len(p.Epochs), pad)
+		}
 	}
 }

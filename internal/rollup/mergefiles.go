@@ -2,6 +2,8 @@ package rollup
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"slices"
 
@@ -11,8 +13,8 @@ import (
 // MergeFiles merges k snapshot files into one snapshot at dst without
 // ever holding two full partials in RAM: it streams epoch-sorted cell
 // lists through the incremental codec, so live memory is bounded by
-// the source headers (service tables) plus one epoch of cells per
-// source — never the cell total of any file.
+// the source headers (service tables) and indexes plus one epoch of
+// cells per source — never the cell total of any file.
 //
 // The sources must be aligned (same step and geography, starts a
 // whole number of steps apart); the output covers their union grid,
@@ -22,43 +24,43 @@ import (
 // every source and folding them with Partial.Merge — the canonical
 // encoding has exactly one byte representation per aggregate.
 //
-// Two passes over each source keep the memory bound: pass one reads
-// headers and epoch bin lists (verifying each file's CRC end to end),
-// pass two re-streams the cells through the k-way merge. dst must not
-// name any source — the output truncates it — and a source appearing
-// twice is rejected as the file-level shape of the self-merge error.
-func MergeFiles(dst string, srcs ...string) error {
+// Every source opens indexed (OpenIndexed), which gives its header and
+// epoch bin list without a pass over its cells — a v1 source is
+// decoded and CRC-checked once to build that index. The merge then
+// re-streams each source through a sequential decoder that verifies it
+// end to end, one pending epoch per source. A merge that fails part way
+// removes dst. dst must not name any source — the output truncates it
+// — and a source appearing twice is rejected as the file-level shape
+// of the self-merge error.
+func MergeFiles(dst string, srcs ...string) (err error) {
 	if len(srcs) == 0 {
 		return fmt.Errorf("rollup: MergeFiles needs at least one source snapshot")
 	}
 	if err := checkDistinctFiles(dst, srcs); err != nil {
 		return err
 	}
-
-	// Pass 1: headers, bin lists, end-to-end CRC of every source.
-	hdrs := make([]*Partial, len(srcs))
-	bins := make([][]int, len(srcs))
-	var buf []Cell
+	m := &kwayMerger{srcs: make([]*mergeSource, len(srcs))}
 	for i, src := range srcs {
-		h, b, reuse, err := scanSnapshot(src, buf)
+		x, err := OpenIndexed(src)
 		if err != nil {
 			return err
 		}
-		hdrs[i], bins[i], buf = h, b, reuse
+		defer x.Close()
+		m.srcs[i] = &mergeSource{x: x}
 	}
 
 	// The union grid, service table, totals and counters.
-	out := &Partial{Cfg: hdrs[0].Cfg}
-	for i, h := range hdrs[1:] {
-		u, err := out.Cfg.Union(h.Cfg)
+	out := &Partial{Cfg: m.srcs[0].x.Header().Cfg}
+	for i, ms := range m.srcs[1:] {
+		u, err := out.Cfg.Union(ms.x.Header().Cfg)
 		if err != nil {
 			return fmt.Errorf("rollup: merging %s: %w", srcs[i+1], err)
 		}
 		out.Cfg = u
 	}
 	var names []string
-	for _, h := range hdrs {
-		names = append(names, h.Services...)
+	for _, ms := range m.srcs {
+		names = append(names, ms.x.Header().Services...)
 	}
 	slices.Sort(names)
 	names = slices.Compact(names)
@@ -71,46 +73,46 @@ func MergeFiles(dst string, srcs ...string) error {
 	for i, name := range names {
 		idx[name] = uint32(i)
 	}
-	remaps := make([][]uint32, len(srcs))
-	shifts := make([]int, len(srcs))
-	for i, h := range hdrs {
-		remaps[i] = make([]uint32, len(h.Services))
-		for j, name := range h.Services {
-			remaps[i][j] = idx[name]
-		}
-		shifts[i] = h.Cfg.binOffset(out.Cfg)
-		out.absorbSums(h)
-	}
-
 	// The output epoch sequence: the sorted union of the shifted bin
 	// lists (overflow, encoded as -1, naturally sorts first).
 	var outBins []int
-	for i, bl := range bins {
-		for _, b := range bl {
-			outBins = append(outBins, shiftBin(b, shifts[i]))
+	for _, ms := range m.srcs {
+		h := ms.x.Header()
+		ms.remap = make([]uint32, len(h.Services))
+		for j, name := range h.Services {
+			ms.remap[j] = idx[name]
+		}
+		ms.shift = h.Cfg.binOffset(out.Cfg)
+		out.absorbSums(h)
+		for _, en := range ms.x.Entries() {
+			outBins = append(outBins, shiftBin(en.Bin, ms.shift))
 		}
 	}
 	slices.Sort(outBins)
 	outBins = slices.Compact(outBins)
 
-	// Pass 2: k-way merge, one epoch live per source.
+	// The k-way merge, one epoch live per source.
 	f, err := os.Create(dst)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(dst)
+		}
+	}()
 	enc, err := NewEncoderV2(f, out, len(outBins))
 	if err != nil {
 		return err
 	}
-	m := &kwayMerger{decs: make([]*mergeSource, len(srcs))}
-	for i, src := range srcs {
-		ms, err := openMergeSource(src, remaps[i], shifts[i])
-		if err != nil {
+	for _, ms := range m.srcs {
+		if ms.dec, err = NewDecoder(io.NewSectionReader(ms.x.f, 0, math.MaxInt64)); err != nil {
+			return fmt.Errorf("%s: %w", ms.x.Path(), err)
+		}
+		if err := ms.advance(); err != nil {
 			return err
 		}
-		defer ms.close()
-		m.decs[i] = ms
 	}
 	for _, bin := range outBins {
 		cells, err := m.epoch(bin)
@@ -121,9 +123,11 @@ func MergeFiles(dst string, srcs ...string) error {
 			return err
 		}
 	}
-	for _, ms := range m.decs {
-		if err := ms.drain(); err != nil {
-			return err
+	// Every source must have been consumed, so its final Next verified
+	// the CRC (and a v2 footer) against the stream it decoded.
+	for _, ms := range m.srcs {
+		if ms.has {
+			return fmt.Errorf("%s: unmerged epochs left behind", ms.x.Path())
 		}
 	}
 	if err := enc.Close(); err != nil {
@@ -137,6 +141,12 @@ func MergeFiles(dst string, srcs ...string) error {
 	}
 	return f.Close()
 }
+
+// UpgradeFile rewrites the snapshot at src as format v2 at dst. It is a
+// one-source MergeFiles: the payload encoding is canonical and the same
+// in both versions, so the output's payload section is the input's
+// byte for byte, and a v2 src re-indexes to an identical file.
+func UpgradeFile(src, dst string) error { return MergeFiles(dst, src) }
 
 // checkDistinctFiles rejects dst aliasing a source and duplicate
 // sources: the streaming writer truncates dst, and a source counted
@@ -166,33 +176,6 @@ func checkDistinctFiles(dst string, srcs []string) error {
 	return nil
 }
 
-// scanSnapshot reads one source end to end, returning its header, its
-// epoch bin list and the reusable cell buffer. The full read verifies
-// the CRC before pass 2 trusts the stream.
-func scanSnapshot(path string, buf []Cell) (*Partial, []int, []Cell, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, buf, err
-	}
-	defer f.Close()
-	dec, err := NewDecoder(f)
-	if err != nil {
-		return nil, nil, buf, fmt.Errorf("%s: %w", path, err)
-	}
-	bins := make([]int, 0, dec.EpochCount())
-	for {
-		ep, ok, err := dec.Next(buf)
-		if err != nil {
-			return nil, nil, buf, fmt.Errorf("%s: %w", path, err)
-		}
-		if !ok {
-			return dec.Header(), bins, buf, nil
-		}
-		bins = append(bins, ep.Bin)
-		buf = ep.Cells
-	}
-}
-
 func shiftBin(bin, shift int) int {
 	if bin == OverflowBin {
 		return OverflowBin
@@ -200,32 +183,18 @@ func shiftBin(bin, shift int) int {
 	return bin + shift
 }
 
-// mergeSource is one snapshot being streamed through pass 2: a
-// decoder, the source's service remap and bin shift, and the one
-// pending epoch (decoded into a buffer reused across epochs).
+// mergeSource is one snapshot being streamed through the merge: its
+// indexed handle, a sequential decoder over it, the source's service
+// remap and bin shift, and the one pending epoch (decoded into a
+// buffer reused across epochs).
 type mergeSource struct {
-	f       *os.File
+	x       *IndexedSnapshot
 	dec     *Decoder
 	remap   []uint32
 	shift   int
 	pending Epoch
 	buf     []Cell
 	has     bool
-	path    string
-}
-
-func openMergeSource(path string, remap []uint32, shift int) (*mergeSource, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := NewDecoder(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	ms := &mergeSource{f: f, dec: dec, remap: remap, shift: shift, path: path}
-	return ms, ms.advance()
 }
 
 // advance decodes the next epoch, remaps its service ids into the
@@ -235,7 +204,7 @@ func openMergeSource(path string, remap []uint32, shift int) (*mergeSource, erro
 func (ms *mergeSource) advance() error {
 	ep, ok, err := ms.dec.Next(ms.buf[:0:cap(ms.buf)])
 	if err != nil {
-		return fmt.Errorf("%s: %w", ms.path, err)
+		return fmt.Errorf("%s: %w", ms.x.Path(), err)
 	}
 	if !ok {
 		ms.has = false
@@ -250,22 +219,11 @@ func (ms *mergeSource) advance() error {
 	return nil
 }
 
-// drain verifies the source hit clean EOF (pass 2 consumed every
-// epoch, so the final Next re-verified the CRC) and closes it.
-func (ms *mergeSource) drain() error {
-	if ms.has {
-		return fmt.Errorf("%s: unmerged epochs left behind", ms.path)
-	}
-	return ms.f.Close()
-}
-
-func (ms *mergeSource) close() { ms.f.Close() }
-
 // kwayMerger folds the pending epochs of every source that lands on
 // one output bin into a single sorted cell list, reusing two scratch
 // buffers so steady-state merging allocates nothing.
 type kwayMerger struct {
-	decs    []*mergeSource
+	srcs    []*mergeSource
 	acc     []Cell
 	scratch []Cell
 }
@@ -274,7 +232,7 @@ type kwayMerger struct {
 // sources past it.
 func (m *kwayMerger) epoch(bin int) ([]Cell, error) {
 	m.acc = m.acc[:0]
-	for _, ms := range m.decs {
+	for _, ms := range m.srcs {
 		if !ms.has || ms.pending.Bin != bin {
 			continue
 		}

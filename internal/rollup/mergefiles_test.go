@@ -203,3 +203,98 @@ func TestMergeFilesMemoryBound(t *testing.T) {
 			40, base, 640, big)
 	}
 }
+
+// writeV1 persists p in format v1 at path (no footer index).
+func writeV1(t testing.TB, path string, p *Partial) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, p); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeFilesMixedVersions: v1 and v2 sources merge together, and
+// the output equals the in-memory fold of their decoded partials.
+func TestMergeFilesMixedVersions(t *testing.T) {
+	dir := t.TempDir()
+	parts := []*Partial{randomPartial(21, 0, 8), randomPartial(22, 4, 8), randomPartial(23, 12, 8)}
+	paths := writeSnapshots(t, dir, parts[0], parts[2])
+	paths = append(paths, filepath.Join(dir, "v1.roll"))
+	writeV1(t, paths[2], parts[1])
+	dst := filepath.Join(dir, "merged.roll")
+	if err := MergeFiles(dst, paths...); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths[1:] {
+		next, err := ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Merge(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want bytes.Buffer
+	if err := WriteV2(&want, ref); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(dst); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("merge of v1 and v2 sources differs from the in-memory fold")
+	}
+}
+
+// TestMergeFilesFailureLeavesNoOutput corrupts one epoch record of a
+// source — the last mantissa byte of its last cell, so the record
+// still decodes and only a checksum tells — and holds MergeFiles and
+// UpgradeFile to it: an error, and no file at dst.
+func TestMergeFilesFailureLeavesNoOutput(t *testing.T) {
+	dir := t.TempDir()
+	good := writeSnapshots(t, dir, randomPartial(31, 0, 8))[0]
+	p := randomPartial(32, 8, 8)
+	v2 := encodeV2(t, p)
+	x, err := OpenIndexed(writeTemp(t, v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := len(x.Entries()) / 2
+	flip := x.Entries()[mid+1].Offset - 1
+	x.Close()
+	var v1 bytes.Buffer
+	if err := Write(&v1, p); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"v1", v1.Bytes()}, {"v2", v2}} {
+		bad := append([]byte(nil), tc.data...)
+		bad[flip] ^= 1 // payloads match across versions: same record, same byte
+		path := filepath.Join(dir, "bad-"+tc.name+".roll")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("%s: the corrupted source reads cleanly", tc.name)
+		}
+		dst := filepath.Join(dir, "out-"+tc.name+".roll")
+		if err := MergeFiles(dst, good, path); err == nil {
+			t.Errorf("%s: merge over a corrupted source succeeded", tc.name)
+		}
+		if _, err := os.Stat(dst); !os.IsNotExist(err) {
+			t.Errorf("%s: failed merge left %s behind (stat: %v)", tc.name, dst, err)
+		}
+		if err := UpgradeFile(path, dst); err == nil {
+			t.Errorf("%s: upgrade of a corrupted source succeeded", tc.name)
+		}
+		if _, err := os.Stat(dst); !os.IsNotExist(err) {
+			t.Errorf("%s: failed upgrade left %s behind (stat: %v)", tc.name, dst, err)
+		}
+	}
+}

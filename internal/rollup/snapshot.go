@@ -53,8 +53,10 @@ import (
 // decode only the epochs a query touches. The payload encoding is
 // byte-identical across versions: a v2 file is its v1 encoding plus
 // the index, which is why UpgradeFile can promise an unchanged payload
-// section. v1 is the wire format (pipes and epochwire blobs have no
-// use for seek tables); v2 is what every file writer emits.
+// section. v1 is the blob encoding, and Write its only writer (pipes
+// and epochwire blobs have no use for seek tables); v2 is what every
+// file writer emits. A v1 file still opens with OpenIndexed, which
+// indexes it from one sequential decode.
 //
 // The encoding is canonical: normalized partials have sorted service
 // tables and cell lists, and the reader enforces the ordering, so one
@@ -151,13 +153,6 @@ type Encoder struct {
 	headerCRC uint32
 	index     []IndexEntry
 	bitsArena []byte
-}
-
-// NewEncoder writes a version-1 header: the sequential stream format,
-// decodable from a pipe with no seeking. File writers should prefer
-// NewEncoderV2.
-func NewEncoder(w io.Writer, hdr *Partial, epochs int) (*Encoder, error) {
-	return newEncoder(w, hdr, epochs, SnapshotV1)
 }
 
 // NewEncoderV2 writes a version-2 header and accumulates the footer
@@ -360,10 +355,11 @@ func write(w io.Writer, p *Partial, version int) error {
 // not contaminate the running CRC, so the tee sits above the buffer).
 // seg and n mirror crcWriter's: a per-record sum reset at epoch
 // boundaries and a consumed-byte counter, which is how the sequential
-// decoder knows each record's offset and CRC to cross-check the v2
-// index against. b8 is the persistent fixed-width scratch: per-call
-// stack buffers would escape through the io.Reader boundary and cost
-// one allocation per float, linear in cell count.
+// decoder knows each record's offset and CRC — to cross-check a v2
+// index against, or to build a v1 file's index from. b8 is the
+// persistent fixed-width scratch: per-call stack buffers would escape
+// through the io.Reader boundary and cost one allocation per float,
+// linear in cell count.
 type crcReader struct {
 	br  *bufio.Reader
 	crc uint32
@@ -402,16 +398,6 @@ func (cr *crcReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// epochRecord is what the sequential decoder observed about one epoch
-// record, kept to cross-check a v2 footer claim for claim.
-type epochRecord struct {
-	bin   int
-	cells int
-	off   int64
-	crc   uint32
-	stats epochStats
-}
-
 // Decoder reads one snapshot incrementally: the header is decoded and
 // validated at construction, then Next yields one epoch at a time —
 // into a caller-reusable cell buffer — enforcing the same orderings
@@ -422,6 +408,11 @@ type epochRecord struct {
 // guaranteed to answer index-pruned queries identically. Live memory
 // is the header plus one epoch of cells plus (v2) the index, which is
 // what bounds the k-way merger.
+//
+// The decoder notes every record it reads (bin, offset, cell count,
+// record CRC, id ranges) for a v2 stream, to hold the footer to; for a
+// v1 stream only when OpenIndexed asks, since those notes are then the
+// file's index. A v1 blob decoded whole keeps none.
 type Decoder struct {
 	br      *bufio.Reader
 	cr      *crcReader
@@ -431,11 +422,13 @@ type Decoder struct {
 	read    int
 	prevBin int
 	fin     bool
-	// v2 cross-check state: header CRC and first-epoch offset captured
-	// at construction, then one record note per decoded epoch.
+	// Header CRC and first-epoch offset captured at construction, then
+	// one note per decoded epoch when notes is set; a finished v2
+	// decode replaces the notes by the footer entries they vouched for.
 	headerCRC   uint32
 	epochsStart int64
-	recs        []epochRecord
+	notes       bool
+	recs        []IndexEntry
 }
 
 // NewDecoder consumes and validates the snapshot header (through the
@@ -522,13 +515,8 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder{br: br, cr: cr, hdr: p, version: version, nEpochs: int(nEpochs), prevBin: OverflowBin - 1}
-	if version == SnapshotV2 {
-		d.headerCRC = cr.crc
-		d.epochsStart = snapshotMagicLen + cr.n
-		d.recs = make([]epochRecord, 0, min(d.nEpochs, cellPrealloc))
-	}
-	return d, nil
+	return &Decoder{br: br, cr: cr, hdr: p, version: version, nEpochs: int(nEpochs), prevBin: OverflowBin - 1,
+		headerCRC: cr.crc, epochsStart: snapshotMagicLen + cr.n, notes: version == SnapshotV2}, nil
 }
 
 // Header returns the decoded header as a partial with no epochs: the
@@ -561,64 +549,65 @@ func (d *Decoder) Next(buf []Cell) (ep Epoch, ok bool, err error) {
 	d.read++
 	off := snapshotMagicLen + d.cr.n
 	d.cr.seg = 0
-	bin, cells, stats, err := decodeEpoch(d.cr, d.hdr.Cfg.Bins, len(d.hdr.Services), buf)
+	rec, cells, err := decodeEpoch(d.cr, d.hdr.Cfg.Bins, len(d.hdr.Services), buf)
 	if err != nil {
 		return Epoch{}, false, err
 	}
-	if bin <= d.prevBin {
-		return Epoch{}, false, fmt.Errorf("rollup: epoch bins not strictly ascending at %d", bin)
+	if rec.Bin <= d.prevBin {
+		return Epoch{}, false, fmt.Errorf("rollup: epoch bins not strictly ascending at %d", rec.Bin)
 	}
-	d.prevBin = bin
-	if d.version == SnapshotV2 {
-		d.recs = append(d.recs, epochRecord{bin: bin, cells: len(cells), off: off, crc: d.cr.seg, stats: stats})
+	d.prevBin = rec.Bin
+	if d.notes {
+		if d.recs == nil {
+			d.recs = make([]IndexEntry, 0, min(d.nEpochs, cellPrealloc))
+		}
+		rec.Offset, rec.CRC = off, d.cr.seg
+		d.recs = append(d.recs, rec)
 	}
-	return Epoch{Bin: bin, Cells: cells}, true, nil
-}
-
-// epochStats is the id coverage of one decoded epoch, valid when the
-// epoch has cells.
-type epochStats struct {
-	svcMin, svcMax uint32
-	comMin, comMax uint32
+	return Epoch{Bin: rec.Bin, Cells: cells}, true, nil
 }
 
 // decodeEpoch reads one epoch record — bin, cell count, cells into
-// buf[:0] — enforcing cell ordering and field limits. It is shared by
-// the sequential decoder and the seeking reader; bin-ordering across
-// epochs is the caller's concern (the seeking reader has none).
-func decodeEpoch(cr *crcReader, bins, numServices int, buf []Cell) (bin int, cells []Cell, stats epochStats, err error) {
+// buf[:0] — enforcing cell ordering and field limits, and returns the
+// record's bin, cell count and id ranges (zero for an empty epoch, as
+// the footer encodes them) as an index entry without offset or CRC.
+// It is shared by the sequential decoder and the seeking reader;
+// bin-ordering across epochs is the caller's concern (the seeking
+// reader has none).
+func decodeEpoch(cr *crcReader, bins, numServices int, buf []Cell) (rec IndexEntry, cells []Cell, err error) {
 	binPlus1, err := capture.ReadUvarint(cr, uint64(bins), "snapshot epoch bin")
 	if err != nil {
-		return 0, nil, stats, err
+		return rec, nil, err
 	}
-	bin = int(binPlus1) - 1
+	rec.Bin = int(binPlus1) - 1
 	nCells, err := capture.ReadUvarint(cr, MaxEpochCells, "snapshot cell count")
 	if err != nil {
-		return 0, nil, stats, err
+		return rec, nil, err
 	}
 	if buf == nil {
 		buf = make([]Cell, 0, min(int(nCells), cellPrealloc))
 	} else {
 		buf = buf[:0]
 	}
-	stats.svcMin, stats.comMin = math.MaxUint32, math.MaxUint32
 	var prev Cell
 	for c := uint64(0); c < nCells; c++ {
 		cell, err := readCell(cr, numServices)
 		if err != nil {
-			return 0, nil, stats, err
+			return rec, nil, err
 		}
-		if c > 0 && !cellLess(prev, cell) {
-			return 0, nil, stats, fmt.Errorf("rollup: epoch %d cells not strictly ascending", bin)
+		svc, com := cell.Svc, uint32(cell.Commune)
+		if c == 0 {
+			rec.SvcMin, rec.SvcMax, rec.ComMin, rec.ComMax = svc, svc, com, com
+		} else if !cellLess(prev, cell) {
+			return rec, nil, fmt.Errorf("rollup: epoch %d cells not strictly ascending", rec.Bin)
 		}
 		prev = cell
-		stats.svcMin = min(stats.svcMin, cell.Svc)
-		stats.svcMax = max(stats.svcMax, cell.Svc)
-		stats.comMin = min(stats.comMin, uint32(cell.Commune))
-		stats.comMax = max(stats.comMax, uint32(cell.Commune))
+		rec.SvcMin, rec.SvcMax = min(rec.SvcMin, svc), max(rec.SvcMax, svc)
+		rec.ComMin, rec.ComMax = min(rec.ComMin, com), max(rec.ComMax, com)
 		buf = append(buf, cell)
 	}
-	return bin, buf, stats, nil
+	rec.Cells = len(buf)
+	return rec, buf, nil
 }
 
 // finish checks the CRC trailer and that the stream ends cleanly. For
@@ -654,14 +643,14 @@ func (d *Decoder) finish() error {
 		}
 		for i, en := range entries {
 			r := d.recs[i]
-			if en.Bin != r.bin || en.Offset != r.off || en.Cells != r.cells || en.CRC != r.crc {
-				return fmt.Errorf("rollup: snapshot index entry %d contradicts epoch record (bin %d at %d)", i, r.bin, r.off)
+			if en.Bin != r.Bin || en.Offset != r.Offset || en.Cells != r.Cells || en.CRC != r.CRC {
+				return fmt.Errorf("rollup: snapshot index entry %d contradicts epoch record (bin %d at %d)", i, r.Bin, r.Offset)
 			}
-			if r.cells > 0 && (en.SvcMin != r.stats.svcMin || en.SvcMax != r.stats.svcMax ||
-				en.ComMin != r.stats.comMin || en.ComMax != r.stats.comMax) {
-				return fmt.Errorf("rollup: snapshot index entry %d id ranges contradict epoch %d", i, r.bin)
+			if en.SvcMin != r.SvcMin || en.SvcMax != r.SvcMax || en.ComMin != r.ComMin || en.ComMax != r.ComMax {
+				return fmt.Errorf("rollup: snapshot index entry %d id ranges contradict epoch %d", i, r.Bin)
 			}
 		}
+		d.recs = entries
 		if err := capture.ReadFull(d.br, b8[:], "snapshot index offset"); err != nil {
 			return err
 		}
@@ -678,20 +667,18 @@ func (d *Decoder) finish() error {
 	return nil
 }
 
-// Index returns the footer index of a fully-read v2 snapshot (nil for
-// v1). It is only populated — and only trustworthy — after Next has
-// returned ok == false with no error, i.e. after finish validated the
-// footer against the decoded stream.
+// Index returns the epoch index of a fully-read snapshot: for v2 the
+// footer index, validated entry by entry against the decoded records;
+// for a v1 stream opened by OpenIndexed, the records' own notes — id
+// ranges without presence bitmaps, so pruning by them is range-only.
+// Nil for a v1 stream read without notes. It is only populated — and
+// only trustworthy — after Next has returned ok == false with no
+// error, i.e. after finish verified the CRC and (v2) the footer.
 func (d *Decoder) Index() []IndexEntry {
-	if !d.fin || d.version != SnapshotV2 {
+	if !d.fin {
 		return nil
 	}
-	entries := make([]IndexEntry, len(d.recs))
-	for i, r := range d.recs {
-		entries[i] = IndexEntry{Bin: r.bin, Offset: r.off, Cells: r.cells, CRC: r.crc,
-			SvcMin: r.stats.svcMin, SvcMax: r.stats.svcMax, ComMin: r.stats.comMin, ComMax: r.stats.comMax}
-	}
-	return entries
+	return d.recs
 }
 
 // Read decodes one snapshot whole. It is the materializing wrapper
