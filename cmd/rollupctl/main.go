@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/chaos"
 	"repro/internal/ctl"
 	"repro/internal/daemon"
 	"repro/internal/epochwire"
@@ -545,31 +546,24 @@ func runFetch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	client := &ctl.Client{Addr: *from, Timeout: *timeout}
 
-	// The reply streams to -o, to memory for the text verbs' renderers,
-	// or (text verb with -o) both.
+	// The reply streams to memory for the text verbs' renderers, to -o
+	// through one atomic commit, or (text verb with -o) both.
 	var body bytes.Buffer
-	w := io.Writer(&body)
-	var f *os.File
-	if *out != "" {
-		var err error
-		if f, err = os.Create(*out); err != nil {
-			return err
+	if *out == "" {
+		if _, err := client.Stream(req, &body); err != nil {
+			return fmt.Errorf("fetch: %w", err)
 		}
-		defer f.Close()
-		w = f
-		if textMode {
-			w = io.MultiWriter(f, &body)
-		}
-	}
-	n, err := client.Stream(req, w)
-	if err != nil {
-		return fmt.Errorf("fetch: %w", err)
-	}
-	if f != nil {
-		// A fetched file is usually the input to the next pipeline stage;
-		// flush it so a crash right after "fetched" can't lie.
-		if err := f.Sync(); err != nil {
+	} else {
+		var n int64
+		err := chaos.WriteAtomic(chaos.OS, *out, func(w io.Writer) (err error) {
+			if textMode {
+				w = io.MultiWriter(w, &body)
+			}
+			n, err = client.Stream(req, w)
 			return err
+		})
+		if err != nil {
+			return fmt.Errorf("fetch: %w", err)
 		}
 		fmt.Fprintf(stdout, "fetched %d bytes from %s to %s\n", n, *from, *out)
 		if !*conserve {

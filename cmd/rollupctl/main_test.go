@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -205,5 +206,56 @@ func TestGoldensInfoAndUpgrade(t *testing.T) {
 		if got, _ := os.ReadFile(upgraded); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("upgrade of the v1 golden (%d bytes) differs from WriteV2 of its partial (%d bytes)", len(got), want.Len())
 		}
+	}
+}
+
+// TestFetchFailureKeepsOutput: a fetch whose reply breaks off part way,
+// or that never connects, leaves an existing -o file byte-identical —
+// for a snapshot, and for a text verb written to -o as well.
+func TestFetchFailureKeepsOutput(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	out := writeDay(t, dir, 0)
+	prev, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// broken declares a 4 KiB reply, sends 100 bytes of it and hangs up.
+	broken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			conn, err := broken.Accept()
+			if err != nil {
+				return
+			}
+			bufio.NewReader(conn).ReadString('\n')
+			io.WriteString(conn, "ok 4096\n"+strings.Repeat("x", 100))
+			conn.Close()
+		}
+	}()
+	defer func() { broken.Close(); <-served }()
+	refused, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused.Close()
+
+	for _, args := range [][]string{
+		{"-from", broken.Addr().String()},
+		{"-from", broken.Addr().String(), "-status"},
+		{"-from", refused.Addr().String()},
+	} {
+		rollupctl(t, 1, append([]string{"fetch", "-o", out}, args...)...)
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, prev) {
+			t.Errorf("failed fetch %v changed -o: %d bytes (err %v), was %d", args, len(got), err, len(prev))
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+		t.Errorf("failed fetches left %v behind", tmps)
 	}
 }

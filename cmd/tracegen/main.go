@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/chaos"
 	"repro/internal/daemon"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
@@ -152,23 +153,18 @@ func record(ctx context.Context, stdout io.Writer, path string, sessions int, se
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w, err := capture.NewWriter(f)
-	if err != nil {
-		return err
-	}
 	st := sim.Stream()
 	src := capture.NewStopSource(st)
 	defer context.AfterFunc(ctx, src.Stop)()
-	n, err := capture.Copy(w, src)
-	if err != nil {
+	var n int
+	err = chaos.WriteAtomic(chaos.OS, path, func(f io.Writer) error {
+		w, err := capture.NewWriter(f)
+		if err == nil {
+			n, err = capture.Copy(w, src)
+		}
 		return err
-	}
-	if err := f.Close(); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	truth := st.Stats()
@@ -227,15 +223,9 @@ func summarize(stdout io.Writer, path string, quiet bool) error {
 }
 
 func write(dir, name string, fill func(*bufio.Writer)) error {
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fill(w)
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return chaos.WriteAtomic(chaos.OS, filepath.Join(dir, name), func(f io.Writer) error {
+		w := bufio.NewWriter(f)
+		fill(w)
+		return w.Flush()
+	})
 }

@@ -1,9 +1,9 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -135,8 +135,8 @@ func (s *Server) Status() (any, error) {
 }
 
 // Snapshot implements ctl.Backend. Full fidelity, not a view: the
-// store's members streamed through the bounded-memory merger into a
-// scratch file — counters, totals and the overflow epoch intact,
+// store's members streamed through the bounded-memory merger into the
+// reply — counters, totals and the overflow epoch intact,
 // byte-identical to merging by hand.
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
@@ -144,16 +144,11 @@ func (s *Server) Snapshot() ([]byte, error) {
 	if err := s.refreshLocked(); err != nil {
 		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "catalog-snap")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := rollup.MergeTo(&buf, s.cat.Paths()...); err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-	dst := filepath.Join(dir, "merged.roll")
-	if err := rollup.MergeFiles(dst, s.cat.Paths()...); err != nil {
-		return nil, err
-	}
-	return os.ReadFile(dst)
+	return buf.Bytes(), nil
 }
 
 // View implements ctl.Backend through the footer-index planner,

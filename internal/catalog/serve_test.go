@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ctl"
 	"repro/internal/leakcheck"
 	"repro/internal/rollup"
 )
@@ -152,4 +153,73 @@ func mustGlob(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return paths
+}
+
+// TestServerAnswersOldOrNewDuringRewrites races full queries against
+// ~50 rewrites of one member with rollup.WriteFile: every answer is
+// error-free and is exactly the view over the old member or the view
+// over the new one, never a mix or a truncated read.
+func TestServerAnswersOldOrNewDuringRewrites(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	for day := 0; day < 3; day++ {
+		if err := rollup.WriteFile(filepath.Join(dir, fmt.Sprintf("day-%d.roll", day)), dayPartial(t, day)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	member := filepath.Join(dir, "day-1.roll")
+	short := dayPartial(t, 1)
+	short.Epochs = short.Epochs[:len(short.Epochs)/2]
+	short.TotalBytes = short.CellTotals()
+	short.ClassifiedBytes = short.TotalBytes
+	versions := []*rollup.Partial{dayPartial(t, 1), short}
+
+	s, err := NewServer("127.0.0.1:0", nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	client := &ctl.Client{Addr: s.Addr()}
+	req := "query|" + rollup.ViewSpec{From: 0, To: 3 * dayBins}.String()
+	views := make([][]byte, len(versions))
+	for i := len(versions) - 1; i >= 0; i-- {
+		if err := rollup.WriteFile(member, versions[i]); err != nil {
+			t.Fatal(err)
+		}
+		if views[i], err = client.Request(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(views[0], views[1]) {
+		t.Fatal("the two versions of the member answer the same view")
+	}
+
+	const rewrites = 50
+	werr := make(chan error, 1)
+	go func() {
+		for i := 1; i <= rewrites; i++ {
+			if err := rollup.WriteFile(member, versions[i%2]); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+	for queries := 0; ; queries++ {
+		got, err := client.Request(req)
+		if err != nil {
+			t.Errorf("query %d during the rewrites: %v", queries, err)
+		} else if !bytes.Equal(got, views[0]) && !bytes.Equal(got, views[1]) {
+			t.Errorf("query %d answered %d bytes, neither the old view (%d) nor the new (%d)",
+				queries, len(got), len(views[0]), len(views[1]))
+		}
+		select {
+		case err := <-werr:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+	}
 }

@@ -1,12 +1,12 @@
 // Package chaos is the fault-injection plane: a dependency-free,
 // seeded, schedule-driven injector with adapters for the two media a
 // collection daemon touches — the wire (Conn/Listener/Dial wrappers
-// over net.Conn) and the disk (an FS seam over the spool and
-// state-file I/O). The distributed plane threads these seams through
-// internal/epochwire, so the same binaries that run production
-// collection can run under a reproducible storm of dial refusals,
-// mid-frame resets, short writes, stalls, corrupted frames, full
-// disks, failing fsyncs and torn renames.
+// over net.Conn) and the disk (an FS seam over the spool, the state
+// log and WriteAtomic's whole-file commits). The distributed plane
+// threads these seams through internal/epochwire, so the same binaries
+// that run production collection can run under a reproducible storm of
+// dial refusals, mid-frame resets, short writes, stalls, corrupted
+// frames, full disks, failing fsyncs and torn renames.
 //
 // # Determinism
 //

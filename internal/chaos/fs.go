@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"syscall"
 )
 
@@ -13,8 +14,8 @@ import (
 // files and assert a consistent cursor was recovered.
 var ErrCrashed = errors.New("chaos: filesystem crashed")
 
-// FS is the filesystem seam epochwire's durability points go through —
-// exactly the operations the spool and state persistence need, so the
+// FS is the filesystem seam the durability points go through — exactly
+// the operations the spool, the state log and WriteAtomic need, so the
 // OS implementation stays a thin veneer over package os.
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
@@ -62,6 +63,40 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// WriteAtomic commits a whole file at path through fs: write streams
+// the contents into path+".tmp", which is fsynced, closed and renamed
+// over path, and then the directory is fsynced so the rename survives
+// too. A failure before the rename removes the temp file and leaves
+// path exactly as it was. A crash at any point leaves the complete old
+// file or the complete new one, never a prefix, plus at worst a stale
+// temp file that the next write truncates; its ".tmp" suffix keeps it
+// out of store globs such as "*.roll". An error from the final
+// directory sync means the new file is in place but not yet durable.
+func WriteAtomic(fs FS, path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp, path)
+	}
+	if err != nil {
+		// The commit failed already; a temp file the remove cannot take
+		// (a crashed FS) is truncated by the next write.
+		_ = fs.Remove(tmp)
+		return err
+	}
+	return fs.SyncDir(filepath.Dir(path))
 }
 
 // FS wraps fs with the schedule's disk faults at the named site. A nil

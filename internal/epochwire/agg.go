@@ -611,15 +611,18 @@ func (a *Aggregator) foldLocked() (*rollup.Partial, error) {
 	return out, nil
 }
 
-// WriteSnapshot folds and writes the aggregate to path (atomically,
-// via a temp file) in snapshot format v2, so an aggd spool directory
-// is directly openable as an indexed catalog store.
+// WriteSnapshot folds and writes the aggregate to path in snapshot
+// format v2 through chaos.WriteAtomic on the configured FS, so an aggd
+// spool directory is directly openable as an indexed catalog store.
 func (a *Aggregator) WriteSnapshot(path string) error {
 	b, err := a.snapshotBytes()
 	if err != nil {
 		return err
 	}
-	return atomicWrite(a.cfg.FS, path, b)
+	return chaos.WriteAtomic(a.cfg.FS, path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
 // Status is the machine-readable aggregator state for the admin
@@ -917,33 +920,4 @@ func (a *Aggregator) replayRecord(typ byte, payload []byte) error {
 		return fmt.Errorf("seq %d again after %d", m.Seq, a.cur.applied) // apply never logs a duplicate
 	}
 	return err
-}
-
-// atomicWrite writes data to path durably: temp file, write, fsync,
-// close, rename, directory fsync. A crash at any point leaves either
-// the complete old file or the complete new one (plus at worst a stale
-// .tmp that the next write truncates), and a completed rename survives
-// power loss — the invariant every durability point of this package
-// leans on.
-func atomicWrite(fs chaos.FS, path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
 }

@@ -126,8 +126,9 @@ func chaosWorkload(t *testing.T) *chaosFixture {
 		}
 		fx := &chaosFixture{rangeBins: rangeBins, fullSnap: buf.Bytes()}
 
-		// Record each probe's seal stream once (probed's exact window
-		// arithmetic: window plus spill slack, clamped to the range).
+		// Record each probe's seal stream once (daemon.ProbeConfig's
+		// exact window arithmetic: window plus spill slack, clamped to
+		// the range).
 		record := func(id string, frames []capture.Frame, winFrom, winTo int) *chaosProbe {
 			const slack = 3
 			pcfg := probe.ConfigFor(country)

@@ -98,8 +98,8 @@ func distWorkload(t *testing.T) *distFixture {
 }
 
 // probeGrid returns the probe and rollup configs of one windowed probe
-// (the window plus spill slack, clamped to the week — probed's exact
-// arithmetic).
+// (the window plus spill slack, clamped to the week —
+// daemon.ProbeConfig's exact arithmetic).
 func (fx *distFixture) probeGrid(winFrom, winTo int) (probe.Config, rollup.Config) {
 	const slack = 3
 	pcfg := probe.ConfigFor(fx.country)

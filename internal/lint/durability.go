@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
+	"go/types"
 )
 
 // Durability enforces the §13 fsync-before-rename discipline at every
@@ -14,9 +16,11 @@ import (
 //     chaos injects);
 //   - bare os.WriteFile on the durable planes (spool, aggregator
 //     state, snapshots) never fsyncs at all;
-//   - a file created on a snapshot/spool plane must be fsynced before
-//     close, or aggd's exit-0 durability certificate is a lie under
-//     power loss.
+//   - a store plane creates no file in place: os.Create, or os.OpenFile
+//     with O_CREATE, writes under the final name, so a crash or a
+//     failed write leaves a truncated file there. Whole files go
+//     through chaos.WriteAtomic; the append-only logs open through the
+//     chaos.FS seam.
 //
 // internal/chaos is exempt — it *implements* the seam the discipline
 // is injected through.
@@ -35,9 +39,13 @@ var durablePlanes = []string{
 	"cmd/aggd", "cmd/probesim", "cmd/rollupctl",
 }
 
-// storePlanes additionally require every created file to be synced:
-// these packages only ever create files whose loss is data loss.
-var storePlanes = []string{"internal/epochwire", "internal/rollup"}
+// storePlanes create no file in place: every file they write is a
+// store file, a fetched reply or a trace whose truncation is data
+// loss. aggd's metrics dump and probesim's profiles are diagnostics.
+var storePlanes = []string{
+	"internal/epochwire", "internal/rollup", "internal/catalog", "internal/daemon",
+	"cmd/rollupctl", "cmd/tracegen",
+}
 
 func runDurability(pass *Pass) {
 	if pathWithin(pass.PkgPath, "internal/chaos") {
@@ -59,10 +67,9 @@ func runDurability(pass *Pass) {
 				switch {
 				case inDurable && IsPkgFunc(fn, "os", "WriteFile"):
 					pass.Reportf(call.Pos(), "bare os.WriteFile on a durable plane skips fsync; write, Sync, then rename into place")
-				case inStore && IsPkgFunc(fn, "os", "Create"):
-					if !hasCallNamed(fd.Body, "Sync", token.NoPos, token.NoPos) {
-						pass.Reportf(call.Pos(), "file created on a durable plane is never fsynced: call Sync before Close")
-					}
+				case inStore && (IsPkgFunc(fn, "os", "Create") ||
+					IsPkgFunc(fn, "os", "OpenFile") && len(call.Args) == 3 && opensCreate(pass, fn.Pkg(), call.Args[1])):
+					pass.Reportf(call.Pos(), "file created in place on a store plane: a crash leaves it truncated under its final name; write it through chaos.WriteAtomic")
 				case isRenameCall(pass, call):
 					if !hasCallNamed(fd.Body, "Sync", token.NoPos, call.Pos()) {
 						pass.Reportf(call.Pos(), "rename onto a durable path without a preceding fsync of the new contents")
@@ -91,4 +98,24 @@ func isRenameCall(pass *Pass, call *ast.CallExpr) bool {
 		return false
 	}
 	return isNamed(pass.typeOf(sel.X), "internal/chaos", "FS")
+}
+
+// opensCreate reports whether an os.OpenFile flag includes O_CREATE:
+// by value when the flag is a constant, else by naming os.O_CREATE.
+func opensCreate(pass *Pass, osPkg *types.Package, flag ast.Expr) bool {
+	create, ok := osPkg.Scope().Lookup("O_CREATE").(*types.Const)
+	if !ok {
+		return false
+	}
+	if v := pass.Info.Types[flag].Value; v != nil {
+		return constant.Sign(constant.BinaryOp(v, token.AND, create.Val())) != 0
+	}
+	found := false
+	ast.Inspect(flag, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == create {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -3,14 +3,19 @@
 // before success is reported.
 package rollup
 
-import "os"
+import (
+	"io"
+	"os"
+
+	"repro/internal/chaos"
+)
 
 func writeBare(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644) // want `bare os\.WriteFile on a durable plane skips fsync`
 }
 
 func createUnsynced(path string, data []byte) error {
-	f, err := os.Create(path) // want `file created on a durable plane is never fsynced`
+	f, err := os.Create(path) // want `file created in place on a store plane`
 	if err != nil {
 		return err
 	}
@@ -19,8 +24,10 @@ func createUnsynced(path string, data []byte) error {
 	return err
 }
 
+// createSynced reaches the platter, but under the final name: a crash
+// mid-write still leaves a truncated file there.
 func createSynced(path string, data []byte) error {
-	f, err := os.Create(path)
+	f, err := os.Create(path) // want `file created in place on a store plane: .* chaos\.WriteAtomic`
 	if err != nil {
 		return err
 	}
@@ -33,6 +40,27 @@ func createSynced(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+func openCreate(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644) // want `file created in place on a store plane`
+}
+
+func openCreateFlag(path string, flag int) (*os.File, error) {
+	return os.OpenFile(path, flag|os.O_CREATE, 0o644) // want `file created in place on a store plane`
+}
+
+// openExisting creates nothing, so nothing can be left truncated.
+func openExisting(path string) (*os.File, error) {
+	return os.OpenFile(path, os.O_RDWR, 0)
+}
+
+// writeAtomic is the store planes' one whole-file commit.
+func writeAtomic(path string, data []byte) error {
+	return chaos.WriteAtomic(chaos.OS, path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 func renameBare(tmp, dst string) error {

@@ -7,13 +7,28 @@ import (
 	"os"
 	"slices"
 
+	"repro/internal/chaos"
 	"repro/internal/services"
 )
 
-// MergeFiles merges k snapshot files into one snapshot at dst without
-// ever holding two full partials in RAM: it streams epoch-sorted cell
-// lists through the incremental codec, so live memory is bounded by
-// the source headers (service tables) and indexes plus one epoch of
+// MergeFiles merges k snapshot files into one snapshot at dst: MergeTo
+// streamed through chaos.WriteAtomic, so a merge that fails part way
+// leaves dst as it was. dst must not name any source.
+func MergeFiles(dst string, srcs ...string) error {
+	if dfi, err := os.Stat(dst); err == nil {
+		for _, src := range srcs {
+			if fi, err := os.Stat(src); err == nil && os.SameFile(dfi, fi) {
+				return fmt.Errorf("rollup: destination %s is source %s — the merge would replace its own input", dst, src)
+			}
+		}
+	}
+	return chaos.WriteAtomic(chaos.OS, dst, func(w io.Writer) error { return MergeTo(w, srcs...) })
+}
+
+// MergeTo merges k snapshot files into one v2 snapshot written to w
+// without ever holding two full partials in RAM: it streams epoch-sorted
+// cell lists through the incremental codec, so live memory is bounded
+// by the source headers (service tables) and indexes plus one epoch of
 // cells per source — never the cell total of any file.
 //
 // The sources must be aligned (same step and geography, starts a
@@ -28,15 +43,14 @@ import (
 // epoch bin list without a pass over its cells — a v1 source is
 // decoded and CRC-checked once to build that index. The merge then
 // re-streams each source through a sequential decoder that verifies it
-// end to end, one pending epoch per source. A merge that fails part way
-// removes dst. dst must not name any source — the output truncates it
-// — and a source appearing twice is rejected as the file-level shape
-// of the self-merge error.
-func MergeFiles(dst string, srcs ...string) (err error) {
+// end to end, one pending epoch per source; a corrupt record surfaces
+// as an error after w has taken a prefix. A source appearing twice is
+// rejected as the file-level shape of the self-merge error.
+func MergeTo(w io.Writer, srcs ...string) error {
 	if len(srcs) == 0 {
-		return fmt.Errorf("rollup: MergeFiles needs at least one source snapshot")
+		return fmt.Errorf("rollup: a merge needs at least one source snapshot")
 	}
-	if err := checkDistinctFiles(dst, srcs); err != nil {
+	if err := checkDistinctSources(srcs); err != nil {
 		return err
 	}
 	m := &kwayMerger{srcs: make([]*mergeSource, len(srcs))}
@@ -92,17 +106,7 @@ func MergeFiles(dst string, srcs ...string) (err error) {
 	outBins = slices.Compact(outBins)
 
 	// The k-way merge, one epoch live per source.
-	f, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(dst)
-		}
-	}()
-	enc, err := NewEncoderV2(f, out, len(outBins))
+	enc, err := NewEncoderV2(w, out, len(outBins))
 	if err != nil {
 		return err
 	}
@@ -130,16 +134,7 @@ func MergeFiles(dst string, srcs ...string) (err error) {
 			return fmt.Errorf("%s: unmerged epochs left behind", ms.x.Path())
 		}
 	}
-	if err := enc.Close(); err != nil {
-		return err
-	}
-	// The merged store is durable state: flush it to the platter
-	// before reporting success, or a crash can leave a short file that
-	// readers mistake for truncation corruption.
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return f.Close()
+	return enc.Close()
 }
 
 // UpgradeFile rewrites the snapshot at src as format v2 at dst. It is a
@@ -148,10 +143,10 @@ func MergeFiles(dst string, srcs ...string) (err error) {
 // byte for byte, and a v2 src re-indexes to an identical file.
 func UpgradeFile(src, dst string) error { return MergeFiles(dst, src) }
 
-// checkDistinctFiles rejects dst aliasing a source and duplicate
-// sources: the streaming writer truncates dst, and a source counted
-// twice is the file-level self-merge double-count.
-func checkDistinctFiles(dst string, srcs []string) error {
+// checkDistinctSources rejects a source named twice (or through two
+// paths to one file): a source counted twice is the file-level
+// self-merge double-count.
+func checkDistinctSources(srcs []string) error {
 	infos := make([]os.FileInfo, len(srcs))
 	for i, src := range srcs {
 		fi, err := os.Stat(src)
@@ -163,13 +158,6 @@ func checkDistinctFiles(dst string, srcs []string) error {
 			if os.SameFile(infos[j], fi) {
 				return fmt.Errorf("rollup: source %s repeats %s — merging a snapshot with itself would double-count every cell",
 					src, srcs[j])
-			}
-		}
-	}
-	if dfi, err := os.Stat(dst); err == nil {
-		for i, fi := range infos {
-			if os.SameFile(dfi, fi) {
-				return fmt.Errorf("rollup: destination %s is source %s — the merge would truncate its own input", dst, srcs[i])
 			}
 		}
 	}

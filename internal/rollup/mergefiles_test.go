@@ -298,3 +298,49 @@ func TestMergeFilesFailureLeavesNoOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeFilesFailureKeepsPreviousOutput: dst already holds a valid
+// snapshot, and a merge and an upgrade over a source whose middle
+// record fails its CRC each error. dst must come out byte-identical,
+// with no temp file left beside it.
+func TestMergeFilesFailureKeepsPreviousOutput(t *testing.T) {
+	dir := t.TempDir()
+	paths := writeSnapshots(t, dir, randomPartial(41, 0, 8), randomPartial(42, 8, 8), randomPartial(43, 0, 16))
+	good, bad, dst := paths[0], paths[1], paths[2]
+	x, err := OpenIndexed(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip := x.Entries()[len(x.Entries())/2+1].Offset - 1
+	x.Close()
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[flip] ^= 1
+	if err := os.WriteFile(bad, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"merge", func() error { return MergeFiles(dst, good, bad) }},
+		{"upgrade", func() error { return UpgradeFile(bad, dst) }},
+	} {
+		name := tc.name
+		if err := tc.run(); err == nil {
+			t.Errorf("%s over a corrupted source succeeded", name)
+		}
+		if got, err := os.ReadFile(dst); err != nil || !bytes.Equal(got, prev) {
+			t.Errorf("failed %s changed %s: %d bytes (err %v), was %d", name, dst, len(got), err, len(prev))
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) > 0 {
+			t.Errorf("failed %s left %v behind", name, tmps)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/capture"
+	"repro/internal/chaos"
 	"repro/internal/geo"
 	"repro/internal/services"
 )
@@ -778,22 +779,11 @@ func readCell(cr *crcReader, numServices int) (Cell, error) {
 	return c, err
 }
 
-// WriteFile persists the partial to path (format v2), creating or
-// truncating it.
+// WriteFile persists the partial to path (format v2) through
+// chaos.WriteAtomic: path holds either its previous contents or the
+// whole new snapshot, never a prefix.
 func WriteFile(path string, p *Partial) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteV2(f, p); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return chaos.WriteAtomic(chaos.OS, path, func(w io.Writer) error { return WriteV2(w, p) })
 }
 
 // ReadFile loads a snapshot of either version from path.
