@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,7 +75,14 @@ func (osFS) SyncDir(dir string) error {
 // temp file that the next write truncates; its ".tmp" suffix keeps it
 // out of store globs such as "*.roll". An error from the final
 // directory sync means the new file is in place but not yet durable.
+//
+// path must be absent or a regular file: the rename replaces the
+// directory entry, so a symlink or a device node such as /dev/stdout
+// would be swapped for a plain file instead of written through.
 func WriteAtomic(fs FS, path string, write func(io.Writer) error) error {
+	if fi, err := os.Lstat(path); err == nil && !fi.Mode().IsRegular() {
+		return fmt.Errorf("chaos: %s is not a regular file; a whole-file commit would replace it, not write through it", path)
+	}
 	tmp := path + ".tmp"
 	f, err := fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

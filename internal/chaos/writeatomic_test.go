@@ -177,3 +177,23 @@ func TestWriteAtomicWriteError(t *testing.T) {
 		checkNoTemp(t, path, tc.name)
 	}
 }
+
+// TestWriteAtomicRefusesNonRegular: a rename would swap a symlink (or
+// a device such as /dev/stdout) for a plain file, so WriteAtomic
+// refuses any path that exists and is not a regular file, and leaves
+// it and its target as they were.
+func TestWriteAtomicRefusesNonRegular(t *testing.T) {
+	target := atomicTarget(t, []byte("the link's target"))
+	link := filepath.Join(filepath.Dir(target), "link.roll")
+	if err := os.Symlink(target, link); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(OS, link, chunked(atomicNew)); err == nil {
+		t.Fatal("WriteAtomic replaced a symlink")
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Fatalf("%s is no longer a symlink (%v)", link, err)
+	}
+	checkHolds(t, target, []byte("the link's target"), "symlink target")
+	checkNoTemp(t, link, "refused write")
+}
