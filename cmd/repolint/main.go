@@ -25,11 +25,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
@@ -61,8 +56,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runStandalone(args, stdout, stderr)
 }
 
-// runStandalone type-checks packages from source (go/importer's
-// source mode) and runs the suite over every matched unit.
+// runStandalone lists the packages with the go command, type-checks
+// them against the export data of that one listing, and runs the
+// suite over every matched unit.
 func runStandalone(args []string, stdout, stderr io.Writer) int {
 	fs := daemon.NewFlagSet("repolint", "usage: repolint [packages]\n       go vet -vettool=$(which repolint) [packages]\n\n", stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
@@ -80,11 +76,6 @@ func runStandalone(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 	root, _, err := lint.ModuleRoot(".")
-	// The source importer resolves module import paths through the go
-	// command, which needs the working directory inside the module.
-	if err == nil {
-		err = os.Chdir(root)
-	}
 	var units []*lint.Unit
 	if err == nil {
 		units, err = lint.NewLoader().Load(root, patterns)
@@ -107,13 +98,11 @@ func runStandalone(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// vetCfg is the package-unit description the go vet driver hands a
-// vettool: the file set to analyze plus the import universe as
-// compiled export data, so no re-building is needed.
+// vetCfg is the part of the package-unit description the go vet
+// driver hands a vettool that repolint reads: the file set to analyze
+// plus the import universe as compiled export data, so no re-building
+// is needed.
 type vetCfg struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
 	ImportMap                 map[string]string
@@ -147,63 +136,20 @@ func runVetUnit(cfgPath string, stderr io.Writer) int {
 		return 0
 	}
 
-	fset := token.NewFileSet()
-	unit := &lint.Unit{PkgPath: unitPath(cfg.ImportPath), Fset: fset}
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return typecheckFailed(cfg, err, stderr)
-		}
-		unit.Files = append(unit.Files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	unit.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	tcfg := types.Config{Importer: imp}
-	unit.Pkg, err = tcfg.Check(cfg.ImportPath, fset, unit.Files, unit.Info)
+	unit, err := lint.Check(cfg.ImportPath, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
 	if err != nil {
-		return typecheckFailed(cfg, err, stderr)
+		if cfg.SucceedOnTypecheckFailure {
+			return 0
+		}
+		fmt.Fprintln(stderr, "repolint:", err)
+		return 1
 	}
 	diags := lint.RunUnit(unit, lint.Analyzers())
 	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s:%d:%d: [%s] %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Msg)
+		fmt.Fprintln(stderr, d)
 	}
 	if len(diags) > 0 {
 		return 2
 	}
 	return 0
-}
-
-// unitPath strips go vet's test-variant suffix ("pkg [pkg.test]") so
-// analyzer scoping sees the plain import path.
-func unitPath(p string) string {
-	if i := strings.Index(p, " ["); i >= 0 {
-		return p[:i]
-	}
-	return p
-}
-
-func typecheckFailed(cfg vetCfg, err error, stderr io.Writer) int {
-	if cfg.SucceedOnTypecheckFailure {
-		return 0
-	}
-	fmt.Fprintf(stderr, "repolint: %s: %v\n", cfg.ImportPath, err)
-	return 1
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +23,7 @@ func vetUnit(t *testing.T, importPath, src string) string {
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := json.Marshal(vetCfg{ID: importPath, Compiler: "gc", Dir: dir, ImportPath: importPath, GoFiles: []string{file}})
+	cfg, err := json.Marshal(vetCfg{ImportPath: importPath, GoFiles: []string{file}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,5 +76,55 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("a clean unit wrote to stderr:\n%s", &stderr)
 			}
 		})
+	}
+}
+
+// TestDriversAgree: on a throwaway module with one errtaxonomy finding
+// in a package and one in its external test — which imports a name
+// from export_test.go, so it needs the package's test variant — the
+// standalone driver and go vet running repolint as its vet tool report
+// the same findings at the same positions.
+func TestDriversAgree(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":           "module example.com/m\n\ngo 1.24\n",
+		"x/x.go":           "package x\n\nimport \"io\"\n\nfunc isEOF(err error) bool { return err == io.EOF }\n",
+		"x/export_test.go": "package x\n\nvar IsEOF = isEOF\n",
+		"x/x_test.go": "package x_test\n\nimport (\n\t\"io\"\n\t\"testing\"\n\n\t\"example.com/m/x\"\n)\n\n" +
+			"func TestEOF(t *testing.T) {\n\tif !x.IsEOF(io.EOF) || io.EOF != io.EOF {\n\t\tt.Fatal()\n\t}\n}\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tool := filepath.Join(t.TempDir(), "repolint")
+	if out, err := exec.Command("go", "build", "-o", tool, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building repolint: %v\n%s", err, out)
+	}
+	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet.Dir = root
+	vetOut, _ := vet.CombinedOutput()
+	var fromVet []string
+	for _, line := range strings.Split(string(vetOut), "\n") {
+		if strings.Contains(line, "[errtaxonomy]") {
+			fromVet = append(fromVet, line)
+		}
+	}
+
+	t.Chdir(root)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./..."}, &stdout, &stderr); code != 2 {
+		t.Fatalf("standalone exit %d, want 2\nstderr: %s", code, &stderr)
+	}
+	standalone := strings.Split(strings.TrimSpace(strings.ReplaceAll(stdout.String(), root+string(filepath.Separator), "")), "\n")
+
+	slices.Sort(fromVet)
+	slices.Sort(standalone)
+	if len(standalone) != 2 || !slices.Equal(fromVet, standalone) {
+		t.Fatalf("standalone findings %q\nvet findings %q\nvet output:\n%s", standalone, fromVet, vetOut)
 	}
 }

@@ -53,15 +53,6 @@ func WriteFloat64(w io.Writer, v float64) error {
 	return err
 }
 
-// ReadFloat64 reads one big-endian IEEE-754 value.
-func ReadFloat64(r io.Reader, what string) (float64, error) {
-	var buf [8]byte
-	if err := ReadFull(r, buf[:], what); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(buf[:])), nil
-}
-
 // ReadFull fills p or reports the field as truncated. Unlike
 // io.ReadFull it never returns a bare io.EOF: a record that ends
 // mid-field is corruption, not a clean end of stream.

@@ -1,9 +1,9 @@
 // Package lint is the repository's machine-checked invariant suite:
 // a dependency-free analyzer framework (stdlib go/parser + go/types,
-// packages resolved through the source importer) plus the repo-specific
-// analyzers that enforce the contracts DESIGN.md states in prose —
-// §8's buffer-ownership and hot-path allocation discipline, §12's
-// nil-safe metrics bundles and lock-free gauge evaluation, §13's
+// imports resolved from the go command's export data) plus the
+// repo-specific analyzers that enforce the contracts DESIGN.md states
+// in prose — §8's buffer-ownership and hot-path allocation discipline,
+// §12's nil-safe metrics bundles and lock-free gauge evaluation, §13's
 // fsync-before-rename durability points and transient/fatal error
 // taxonomy, and the chaos seams every epochwire I/O must route through.
 //
@@ -137,16 +137,6 @@ func Analyzers() []*Analyzer {
 		HotPathAlloc,
 		ObsDiscipline,
 	}
-}
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // suppression is one parsed //lint:ignore marker.

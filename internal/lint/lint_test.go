@@ -95,10 +95,10 @@ func TestHardenedCoreRejectsSuppressions(t *testing.T) {
 	assertDiag(t, diags, "errtaxonomy", "misses wrapped sentinels")
 }
 
-// TestSourceImporterResolvesModulePackages: fixture units type-check
-// against real module packages through the source importer — the
+// TestExportDataResolvesModulePackages: fixture units type-check
+// against real module packages through the module's export data — the
 // frameownership fixture needs the genuine capture.Frame named type.
-func TestSourceImporterResolvesModulePackages(t *testing.T) {
+func TestExportDataResolvesModulePackages(t *testing.T) {
 	u, err := NewLoader().CheckFiles("internal/pipe",
 		[]string{filepath.Join("testdata", "frameownership", "src", "internal", "pipe", "pipe.go")})
 	if err != nil {

@@ -1,24 +1,30 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // Unit is one type-checked analysis unit: a package's sources —
 // possibly augmented with its in-package test files, or the external
-// _test package — parsed and checked against a shared FileSet.
+// _test package — parsed and checked against compiled export data.
 type Unit struct {
-	// PkgPath is the unit's import path relative to the module root
-	// ("internal/rollup"); external test units carry a "_test" suffix.
+	// PkgPath is the unit's import path ("repro/internal/rollup");
+	// external test units carry a "_test" suffix.
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
@@ -26,32 +32,20 @@ type Unit struct {
 	Info    *types.Info
 }
 
-// Loader parses and type-checks units against one shared FileSet,
-// resolving imports from source (go/importer's "source" mode shells
-// out to the go command for module paths, so "repro/internal/..."
-// imports resolve as long as the process runs inside the module).
-// Imported packages are cached across units.
-type Loader struct {
-	fset *token.FileSet
-	imp  types.Importer
-}
-
-// NewLoader returns a Loader with a fresh FileSet and source importer.
-func NewLoader() *Loader {
+// Check parses filenames (comments kept) and type-checks them as one
+// unit, the type-check both drivers share. Imports resolve through
+// importMap (when it names the path) and then packageFile, the
+// package → export-data map that `go list -export` and the go vet
+// driver both provide. pkgPath may carry go's test-variant suffix
+// ("p [p.test]"), which the unit drops so analyzers scope on the plain
+// path. Parse or type errors fail the whole unit: analyzers only ever
+// see packages that compile.
+func Check(pkgPath string, filenames []string, importMap, packageFile map[string]string) (*Unit, error) {
+	pkgPath, _, _ = strings.Cut(pkgPath, " [")
 	fset := token.NewFileSet()
-	return &Loader{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
-}
-
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// CheckFiles parses filenames (comments kept) and type-checks them as
-// one unit named pkgPath. Parse or type errors fail the whole unit:
-// analyzers only ever see packages that compile.
-func (l *Loader) CheckFiles(pkgPath string, filenames []string) (*Unit, error) {
 	var files []*ast.File
 	for _, name := range filenames {
-		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parsing %s: %w", name, err)
 		}
@@ -68,189 +62,170 @@ func (l *Loader) CheckFiles(pkgPath string, filenames []string) (*Unit, error) {
 	}
 	var terrs []string
 	cfg := types.Config{
-		Importer: l.imp,
+		Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			if mapped, ok := importMap[path]; ok {
+				path = mapped
+			}
+			file, ok := packageFile[path]
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
+		}),
 		Error: func(err error) {
 			if len(terrs) < 10 {
 				terrs = append(terrs, err.Error())
 			}
 		},
 	}
-	pkg, err := cfg.Check(pkgPath, l.fset, files, info)
+	pkg, err := cfg.Check(pkgPath, fset, files, info)
 	if len(terrs) > 0 {
 		return nil, fmt.Errorf("lint: type-checking %s:\n\t%s", pkgPath, strings.Join(terrs, "\n\t"))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", pkgPath, err)
 	}
-	return &Unit{PkgPath: pkgPath, Fset: l.fset, Files: files, Pkg: pkg, Info: info}, nil
+	return &Unit{PkgPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
-// ModuleRoot walks up from dir to the enclosing go.mod and returns its
-// directory and the declared module path.
-func ModuleRoot(dir string) (root, modpath string, err error) {
-	dir, err = filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, rerr := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if rerr == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("lint: no go.mod above %s", dir)
-		}
-		dir = parent
-	}
+// Loader type-checks units against the export data of one
+// `go list -export` run.
+type Loader struct {
+	exports map[string]string // package path → export-data file
 }
 
-// dirFiles splits one directory's .go files into the three unit
-// ingredients: package sources, in-package tests, external-package
-// tests. Generated helpers starting with "_" or "." are skipped, as
-// is everything when the directory holds no Go files at all.
-type dirFiles struct {
-	dir     string // relative to module root, "." for the root
-	name    string // package name of the base sources
-	base    []string
-	inTest  []string
-	extTest []string
-}
+// NewLoader returns a Loader that has listed nothing yet.
+func NewLoader() *Loader { return &Loader{} }
 
-// packageDirs expands patterns ("./...", "dir/...", plain dirs)
-// against the module root into the directories holding Go packages,
-// skipping testdata, vendor and hidden trees.
-func packageDirs(root string, patterns []string) ([]string, error) {
-	seen := map[string]bool{}
-	var dirs []string
-	add := func(rel string) {
-		rel = filepath.ToSlash(filepath.Clean(rel))
-		if !seen[rel] {
-			seen[rel] = true
-			dirs = append(dirs, rel)
-		}
-	}
-	for _, pat := range patterns {
-		pat = strings.TrimPrefix(pat, "./")
-		if rest, recursive := strings.CutSuffix(pat, "..."); recursive {
-			start := filepath.Join(root, strings.TrimSuffix(rest, "/"))
-			err := filepath.WalkDir(start, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != start && (name == "testdata" || name == "vendor" ||
-					strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-					return filepath.SkipDir
-				}
-				rel, _ := filepath.Rel(root, path)
-				add(rel)
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("lint: walking %s: %w", pat, err)
-			}
-			continue
-		}
-		add(pat)
-	}
-	return dirs, nil
-}
-
-// scanDir gathers one directory's Go files, peeking only at package
-// clauses. Returns nil when the directory holds no Go sources.
-func scanDir(root, rel string) (*dirFiles, error) {
-	abs := filepath.Join(root, rel)
-	entries, err := os.ReadDir(abs)
-	if err != nil {
-		return nil, err
-	}
-	df := &dirFiles{dir: rel}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		path := filepath.Join(abs, name)
-		f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %s: %w", path, err)
-		}
-		pkgName := f.Name.Name
-		switch {
-		case !strings.HasSuffix(name, "_test.go"):
-			if df.name != "" && df.name != pkgName {
-				return nil, fmt.Errorf("lint: %s: packages %s and %s in one directory", abs, df.name, pkgName)
-			}
-			df.name = pkgName
-			df.base = append(df.base, path)
-		case strings.HasSuffix(pkgName, "_test"):
-			df.extTest = append(df.extTest, path)
-		default:
-			df.inTest = append(df.inTest, path)
-		}
-	}
-	if df.name == "" && len(df.inTest) == 0 && len(df.extTest) == 0 {
-		return nil, nil
-	}
-	sort.Strings(df.base)
-	sort.Strings(df.inTest)
-	sort.Strings(df.extTest)
-	return df, nil
-}
-
-// Load type-checks every package under the patterns into analysis
-// units. A directory yields its package unit — augmented with
-// in-package test files, the same shape `go vet` analyzes — plus a
-// separate unit for an external _test package when one exists.
-// root must be the module root; unit paths are module-qualified
-// ("repro/internal/rollup").
-func (l *Loader) Load(root string, patterns []string) ([]*Unit, error) {
-	_, modpath, err := ModuleRoot(root)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := packageDirs(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var units []*Unit
-	for _, rel := range dirs {
-		df, err := scanDir(root, rel)
+// CheckFiles type-checks filenames as one unit named pkgPath, importing
+// from the loader's listing. Before any Load that is the listing of
+// the whole module enclosing the working directory, made once per
+// process: fixture imports must lie in the module's dependency closure.
+func (l *Loader) CheckFiles(pkgPath string, filenames []string) (*Unit, error) {
+	if l.exports == nil {
+		exports, err := moduleExports()
 		if err != nil {
 			return nil, err
 		}
-		if df == nil {
-			continue
+		l.exports = exports
+	}
+	return Check(pkgPath, filenames, nil, l.exports)
+}
+
+// moduleExports lists the module enclosing the working directory once
+// per process, so fixture checks, each with its own Loader, share one
+// go list run.
+var moduleExports = sync.OnceValues(func() (map[string]string, error) {
+	root, _, err := ModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	_, exports, err := listUnits(root, []string{"./..."})
+	return exports, err
+})
+
+// Load type-checks every package the patterns match, resolved by the
+// go command from root (the module root), into the units go vet
+// analyzes: a package's unit holds its in-package test files when it
+// has any, and an external _test package is a unit of its own. Units
+// come in directory order, each package before its external test.
+func (l *Loader) Load(root string, patterns []string) ([]*Unit, error) {
+	pkgs, exports, err := listUnits(root, patterns)
+	if err != nil {
+		return nil, err
+	}
+	l.exports = exports
+	units := make([]*Unit, 0, len(pkgs))
+	for _, p := range pkgs {
+		files := make([]string, len(p.GoFiles))
+		for i, name := range p.GoFiles {
+			files[i] = filepath.Join(p.Dir, name)
 		}
-		pkgPath := modpath
-		if rel != "." {
-			pkgPath = modpath + "/" + filepath.ToSlash(rel)
+		u, err := Check(p.ImportPath, files, p.ImportMap, exports)
+		if err != nil {
+			return nil, err
 		}
-		if len(df.base)+len(df.inTest) > 0 {
-			u, err := l.CheckFiles(pkgPath, append(append([]string{}, df.base...), df.inTest...))
-			if err != nil {
-				return nil, err
-			}
-			units = append(units, u)
-		}
-		if len(df.extTest) > 0 {
-			u, err := l.CheckFiles(pkgPath+"_test", df.extTest)
-			if err != nil {
-				return nil, err
-			}
-			units = append(units, u)
-		}
+		units = append(units, u)
 	}
 	return units, nil
+}
+
+// listedPackage is the part of a `go list -json` record the loader
+// reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	ImportMap  map[string]string
+	ForTest    string
+	DepOnly    bool
+}
+
+// listUnits runs one `go list -export -deps -test` over patterns from
+// root. It returns the analysis units the patterns match, in order,
+// and the export data of every package the run built, test variants
+// included. A package with in-package tests is analyzed as its
+// "p [p.test]" variant; the "p.test" mains, the dependencies
+// recompiled for a test and a package with no files of its own (a
+// directory holding only an external test) are not analyzed.
+func listUnits(root string, patterns []string) (units []*listedPackage, exports map[string]string, err error) {
+	out, err := goList(root, append([]string{"-export", "-deps", "-test",
+		"-json=ImportPath,Dir,Export,GoFiles,ImportMap,ForTest,DepOnly"}, patterns...)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	exports = map[string]string{}
+	hasVariant := map[string]bool{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			return nil, nil, fmt.Errorf("lint: decoding go list output: %w", err)
+		}
+		exports[p.ImportPath] = p.Export
+		path, _, _ := strings.Cut(p.ImportPath, " [")
+		switch {
+		case p.DepOnly || len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test"):
+		case path == p.ForTest:
+			hasVariant[path] = true
+			units = append(units, p)
+		case p.ForTest == "" || path == p.ForTest+"_test":
+			units = append(units, p)
+		}
+	}
+	units = slices.DeleteFunc(units, func(p *listedPackage) bool {
+		return p.ForTest == "" && hasVariant[p.ImportPath]
+	})
+	// Directory order (a tree walk's, element by element), the package
+	// before its external test.
+	slices.SortFunc(units, func(a, b *listedPackage) int {
+		sep := string(filepath.Separator)
+		if c := slices.Compare(strings.Split(a.Dir, sep), strings.Split(b.Dir, sep)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ImportPath, b.ImportPath)
+	})
+	return units, exports, nil
+}
+
+// ModuleRoot returns the directory and module path of the main module
+// the go command resolves from dir.
+func ModuleRoot(dir string) (root, modpath string, err error) {
+	out, err := goList(dir, "-m", "-f", "{{.Dir}}\t{{.Path}}")
+	root, modpath, _ = strings.Cut(strings.TrimSpace(string(out)), "\t")
+	return root, modpath, err
+}
+
+// goList runs `go list args...` in dir and returns its standard
+// output; a failure carries the go command's standard error.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if ee := (*exec.ExitError)(nil); errors.As(err, &ee) {
+		return nil, fmt.Errorf("lint: go list: %w\n%s", err, bytes.TrimSpace(ee.Stderr))
+	} else if err != nil {
+		return nil, fmt.Errorf("lint: go list: %w", err)
+	}
+	return out, nil
 }

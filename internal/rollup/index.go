@@ -102,16 +102,6 @@ func hasID(id, lo, hi uint32, bits []byte) bool {
 	return bits[i>>3]&(1<<(i&7)) != 0
 }
 
-// TimeRange returns the wall-clock span of the entry's bin on grid
-// cfg. The overflow epoch has no span on the grid; ok is false.
-func (en *IndexEntry) TimeRange(cfg Config) (from, to int64, ok bool) {
-	if en.Bin == OverflowBin {
-		return 0, 0, false
-	}
-	start := cfg.Start.UnixNano() + int64(en.Bin)*int64(cfg.Step)
-	return start, start + int64(cfg.Step), true
-}
-
 // indexEpoch appends the entry for one just-encoded epoch record.
 func (e *Encoder) indexEpoch(ep Epoch, off int64, crc uint32) {
 	en := IndexEntry{Bin: ep.Bin, Offset: off, Cells: len(ep.Cells), CRC: crc}

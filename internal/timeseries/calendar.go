@@ -9,12 +9,6 @@ func IsWeekend(t time.Time) bool {
 	return wd == time.Saturday || wd == time.Sunday
 }
 
-// HourOfWeek returns the hour index within the week for sample i of s,
-// counting from the series start (0..167 for a one-week series).
-func (s *Series) HourOfWeek(i int) int {
-	return int(time.Duration(i) * s.Step / time.Hour)
-}
-
 // DayLabels returns the day-of-week labels of the series, one per day
 // boundary, in order ("Sat", "Sun", ...). Used for plot annotations.
 func (s *Series) DayLabels() []string {

@@ -177,13 +177,6 @@ func ZNormalize(values []float64) []float64 {
 	return out
 }
 
-// ZNormalized returns a z-normalized copy of the series.
-func (s *Series) ZNormalized() *Series {
-	out := s.Clone()
-	out.Values = ZNormalize(s.Values)
-	return out
-}
-
 // Resample aggregates the series to a coarser step, summing all fine
 // samples that fall into each coarse bin. newStep must be a positive
 // multiple of the current step.
